@@ -4,9 +4,10 @@
 //! * raw recorder primitives — a `NoopRecorder` counter/stage call against the
 //!   `InMemoryRecorder` equivalents (the former should be nanoseconds-free, the
 //!   latter a mutex-protected map update);
-//! * a full CPRecycle frame decode through the no-op path, the `decode_frame`
-//!   convenience wrapper (which is the no-op path spelled differently) and the
-//!   in-memory recorder — the end-to-end cost of instrumentation on the hot loop.
+//! * a full CPRecycle frame decode through the no-op recorder and the in-memory
+//!   recorder — the end-to-end cost of instrumentation on the hot loop (the
+//!   `uninstrumented` arm is the no-op path again, kept so earlier runs of this
+//!   bench stay comparable).
 
 use cprecycle::{CpRecycleConfig, CpRecycleReceiver};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -15,7 +16,7 @@ use ofdmphy::convcode::CodeRate;
 use ofdmphy::frame::{Mcs, Transmitter};
 use ofdmphy::modulation::Modulation;
 use ofdmphy::params::OfdmParams;
-use ofdmphy::rx::FrameInfo;
+use ofdmphy::rx::{FrameInfo, FrameInput, FrameReceiver, ModelPersistence};
 
 fn bench_primitives(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_primitives");
@@ -49,23 +50,27 @@ fn bench_instrumented_decode(c: &mut Criterion) {
         psdu_len: payload.len() + 4,
     };
     let rx = CpRecycleReceiver::new(params, CpRecycleConfig::default());
+    let input = FrameInput::new(&frame.samples, 0, Some(info));
 
     let mut group = c.benchmark_group("obs_decode");
     group.sample_size(10);
     group.bench_function("uninstrumented", |b| {
-        b.iter(|| rx.decode_frame(&frame.samples, 0, Some(info)).unwrap());
+        b.iter(|| {
+            let mut stream = rx.new_stream(ModelPersistence::PerFrame);
+            rx.decode(&mut stream, input, &NoopRecorder).unwrap()
+        });
     });
     group.bench_function("noop_recorder", |b| {
         b.iter(|| {
-            rx.decode_frame_observed(&frame.samples, 0, Some(info), &NoopRecorder)
-                .unwrap()
+            let mut stream = rx.new_stream(ModelPersistence::PerFrame);
+            rx.decode(&mut stream, input, &NoopRecorder).unwrap()
         });
     });
     let live = InMemoryRecorder::new(0);
     group.bench_function("inmemory_recorder", |b| {
         b.iter(|| {
-            rx.decode_frame_observed(&frame.samples, 0, Some(info), &live)
-                .unwrap()
+            let mut stream = rx.new_stream(ModelPersistence::PerFrame);
+            rx.decode(&mut stream, input, &live).unwrap()
         });
     });
     group.finish();

@@ -4,11 +4,12 @@
 
 use cprecycle::{CpRecycleConfig, CpRecycleReceiver};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use obs::NoopRecorder;
 use ofdmphy::convcode::CodeRate;
 use ofdmphy::frame::{Mcs, Transmitter};
 use ofdmphy::modulation::Modulation;
 use ofdmphy::params::OfdmParams;
-use ofdmphy::rx::{FrameInfo, StandardReceiver};
+use ofdmphy::rx::{FrameInfo, FrameInput, FrameReceiver, ModelPersistence, StandardReceiver};
 
 fn bench_receiver(c: &mut Criterion) {
     let params = OfdmParams::ieee80211ag();
@@ -20,21 +21,21 @@ fn bench_receiver(c: &mut Criterion) {
         mcs,
         psdu_len: payload.len() + 4,
     };
+    let input = FrameInput::new(&frame.samples, 0, Some(info));
 
     let mut group = c.benchmark_group("frame_decode");
     group.sample_size(10);
     let standard = StandardReceiver::new(params.clone());
     group.bench_function("standard", |b| {
-        b.iter(|| {
-            standard
-                .decode_frame(&frame.samples, 0, Some(info))
-                .unwrap()
-        });
+        b.iter(|| standard.decode(&mut (), input, &NoopRecorder).unwrap());
     });
     for p in [1usize, 4, 8, 16] {
         let rx = CpRecycleReceiver::new(params.clone(), CpRecycleConfig::with_segments(p));
         group.bench_with_input(BenchmarkId::new("cprecycle", p), &p, |b, _| {
-            b.iter(|| rx.decode_frame(&frame.samples, 0, Some(info)).unwrap());
+            b.iter(|| {
+                let mut stream = rx.new_stream(ModelPersistence::PerFrame);
+                rx.decode(&mut stream, input, &NoopRecorder).unwrap()
+            });
         });
     }
     group.finish();

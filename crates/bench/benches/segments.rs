@@ -3,7 +3,8 @@
 //! dominates the CPRecycle receiver (paper §3.1 / §6). The README's performance table
 //! is filled from this bench.
 
-use cprecycle::segments::{extract_segments_with, SegmentExtraction, SegmentScratch};
+use cprecycle::segments::reference::extract_segments_direct;
+use cprecycle::segments::{extract_segments, SegmentScratch};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ofdmphy::chanest::ChannelEstimate;
 use ofdmphy::frame::pilot_values;
@@ -39,17 +40,12 @@ fn bench_segments(c: &mut Criterion) {
     group.sample_size(20);
     let mut scratch = SegmentScratch::new();
     for p in [1usize, 4, 8, 16] {
-        for (name, method) in [
-            ("sliding", SegmentExtraction::Sliding),
-            ("direct", SegmentExtraction::Direct),
-        ] {
-            group.bench_with_input(BenchmarkId::new(name, p), &p, |b, &p| {
-                b.iter(|| {
-                    extract_segments_with(&engine, &symbol, &estimate, p, method, &mut scratch)
-                        .unwrap()
-                });
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("sliding", p), &p, |b, &p| {
+            b.iter(|| extract_segments(&engine, &symbol, &estimate, p, &mut scratch).unwrap());
+        });
+        group.bench_with_input(BenchmarkId::new("direct", p), &p, |b, &p| {
+            b.iter(|| extract_segments_direct(&engine, &symbol, &estimate, p).unwrap());
+        });
     }
     group.finish();
 }

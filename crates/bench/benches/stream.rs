@@ -1,6 +1,6 @@
 //! Streaming-session throughput: one frame per capture, decoded through
 //! [`RxSession`] at several chunk sizes versus the batch path (whole-buffer
-//! `Synchronizer::detect` + `decode_frame`).
+//! `Synchronizer::detect` + a decode on a fresh stream).
 //!
 //! The quantity of interest is samples/s of ingested stream (the capture length over
 //! the measured time — the README "Performance" table derives Msamples/s). The
@@ -10,11 +10,12 @@
 use cprecycle::session::RxSession;
 use cprecycle::{CpRecycleConfig, CpRecycleReceiver};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use obs::NoopRecorder;
 use ofdmphy::convcode::CodeRate;
 use ofdmphy::frame::{Mcs, Transmitter};
 use ofdmphy::modulation::Modulation;
 use ofdmphy::params::OfdmParams;
-use ofdmphy::rx::StandardReceiver;
+use ofdmphy::rx::{FrameInput, FrameReceiver, ModelPersistence, StandardReceiver};
 use ofdmphy::sync::Synchronizer;
 use rand::SeedableRng;
 use rfdsp::Complex;
@@ -47,18 +48,17 @@ fn bench_stream(c: &mut Criterion) {
     group.bench_function("batch/cprecycle", |b| {
         b.iter(|| {
             let s = sync.detect(&capture).unwrap().unwrap();
-            batch_rx
-                .decode_frame(&capture, s.frame_start, None)
-                .unwrap()
+            let mut stream = batch_rx.new_stream(ModelPersistence::PerFrame);
+            let input = FrameInput::new(&capture, s.frame_start, None);
+            batch_rx.decode(&mut stream, input, &NoopRecorder).unwrap()
         });
     });
     let batch_std = StandardReceiver::new(params.clone());
     group.bench_function("batch/standard", |b| {
         b.iter(|| {
             let s = sync.detect(&capture).unwrap().unwrap();
-            batch_std
-                .decode_frame(&capture, s.frame_start, None)
-                .unwrap()
+            let input = FrameInput::new(&capture, s.frame_start, None);
+            batch_std.decode(&mut (), input, &NoopRecorder).unwrap()
         });
     });
 

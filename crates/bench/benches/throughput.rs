@@ -19,11 +19,12 @@ use std::time::Instant;
 
 use cprecycle::estimator::ModelBackend;
 use cprecycle::{CpRecycleConfig, CpRecycleReceiver};
+use obs::NoopRecorder;
 use ofdmphy::convcode::CodeRate;
 use ofdmphy::frame::{Mcs, Transmitter};
 use ofdmphy::modulation::Modulation;
 use ofdmphy::params::OfdmParams;
-use ofdmphy::rx::{FrameInfo, StandardReceiver};
+use ofdmphy::rx::{FrameInfo, FrameInput, FrameReceiver, ModelPersistence, StandardReceiver};
 
 /// 802.11a/g sample rate in Msamples/s — the real-time line.
 const REAL_TIME_MSPS: f64 = 20.0;
@@ -75,7 +76,8 @@ fn main() {
         configs.push((
             "standard".into(),
             Box::new(move || {
-                black_box(standard.decode_frame(&samples, 0, Some(info)).unwrap());
+                let input = FrameInput::new(&samples, 0, Some(info));
+                black_box(standard.decode(&mut (), input, &NoopRecorder).unwrap());
             }),
         ));
     }
@@ -93,8 +95,11 @@ fn main() {
             let samples = frame.samples.clone();
             configs.push((
                 format!("cprecycle_p{p}_{tag}"),
+                // A fresh stream per decode: every frame pays its own scratch set-up.
                 Box::new(move || {
-                    black_box(rx.decode_frame(&samples, 0, Some(info)).unwrap());
+                    let mut stream = rx.new_stream(ModelPersistence::PerFrame);
+                    let input = FrameInput::new(&samples, 0, Some(info));
+                    black_box(rx.decode(&mut stream, input, &NoopRecorder).unwrap());
                 }),
             ));
         }

@@ -1,7 +1,6 @@
 //! Configuration of the CPRecycle receiver.
 
 use crate::estimator::ModelBackend;
-use crate::segments::SegmentExtraction;
 use rfdsp::kde::BandwidthSelector;
 
 /// Which decoder runs the subcarrier-decision stage (paper §3–§4): the receiver
@@ -47,9 +46,7 @@ pub enum DecisionStage {
     Naive,
     /// Genie-aided best-segment selection from the interference-only waveform (§3.2;
     /// [`crate::decision::OracleSegmentDecoder`]). Requires the interference-only
-    /// capture, i.e. [`CpRecycleReceiver::decode_frame_genie`].
-    ///
-    /// [`CpRecycleReceiver::decode_frame_genie`]: crate::receiver::CpRecycleReceiver::decode_frame_genie
+    /// capture in [`FrameInput::genie`](ofdmphy::rx::FrameInput::genie).
     Oracle,
     /// Nearest lattice point on the standard FFT window only
     /// ([`crate::decision::StandardNearestDecoder`]) — the conventional receiver's
@@ -103,43 +100,12 @@ impl DecisionStage {
     }
 }
 
-/// Floating-point width of the vectorized inner kernels (PR 8): the sliding-DFT
-/// slide updates and the grid-KDE batched queries.
-///
-/// [`F64`](Self::F64) is the reference — every kernel's scalar counterpart runs in
-/// `f64`, and the vectorized `f64` paths are pinned to it bit-for-bit (or ≤ 1e-9
-/// where operation order changes). [`F32`](Self::F32) halves the memory traffic of
-/// those inner loops and doubles the SIMD lane count; its error is bounded by
-/// property tests (per-bin spectra within `1e-3`, grid log-likelihoods within
-/// `1e-3`) and a whole-frame decision-equivalence test at the Fig. 14 operating
-/// point. Precision only affects the *inner* kernels — seeding FFTs, model
-/// fitting and the exact-KDE scoring stay `f64` under either setting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelPrecision {
-    /// Full-width kernels — the reference and the default.
-    #[default]
-    F64,
-    /// Half-width inner kernels: f32 sliding-DFT slides and f32 grid queries.
-    F32,
-}
-
-impl KernelPrecision {
-    /// Short name used in campaign arm labels and reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            KernelPrecision::F64 => "F64",
-            KernelPrecision::F32 => "F32",
-        }
-    }
-}
-
 /// Tuning knobs of the CPRecycle receiver (the paper's `B_a`, `B_φ`, `R` and `P`
 /// parameters from Algorithm 1, plus the bandwidth-selection strategy of §4.1).
 ///
-/// The struct is `#[non_exhaustive]`: fields keep being added as the receiver grows
-/// (the extraction kernel in PR 2, the decision stage in PR 3, the estimator backend
-/// in PR 4), and every addition used to break every external struct-literal
-/// construction site. Downstream crates construct configurations through
+/// The struct is `#[non_exhaustive]`: fields get added as the receiver grows (the
+/// decision stage and the estimator backend both came late), and every addition
+/// used to break every external struct-literal construction site. Downstream crates construct configurations through
 /// [`CpRecycleConfig::builder`] (or the `with_*` one-field conveniences), which stay
 /// source-compatible across field additions:
 ///
@@ -190,33 +156,25 @@ pub struct CpRecycleConfig {
     /// vector is numerically meaningless, so an un-floored phase bandwidth is even more
     /// fragile).
     pub min_bandwidth_phase: f64,
-    /// Which kernel extracts the per-symbol FFT segments: the `O(F)`-per-segment
-    /// sliding DFT (default) or the direct per-segment FFT reference implementation.
-    /// The two agree to ≤ 1e-9 (property-tested); the switch exists for validation and
-    /// A/B timing.
-    pub extraction: SegmentExtraction,
     /// Which interference-estimator backend the receiver fits from the preamble
     /// ([`crate::estimator`]): the paper's exact per-sample kernel sum (default, the
     /// reference), the precomputed log-likelihood grid with O(1) lookups, or the cheap
     /// parametric Gaussian fit. Like the decision stage, the backend is part of every
     /// campaign point key, so estimator sweeps are ordinary grid dimensions.
     pub model: ModelBackend,
-    /// Floating-point width of the vectorized inner kernels (sliding-DFT slides,
-    /// grid-KDE batched queries). [`KernelPrecision::F64`] is the reference and the
-    /// default; [`KernelPrecision::F32`] trades ≤ 1e-3 per-query error for roughly
-    /// double the SIMD throughput on those loops.
-    pub precision: KernelPrecision,
 }
 
-// Hand-written so the default `precision: F64` is *omitted*: campaign point keys
-// embed this Debug representation (`scenarios::LinkPoint::key`), and the derived
-// form would silently re-key — and re-seed — every existing F64 campaign the
-// moment the field was added. Only a non-default `F32` shows up, as a new key
-// dimension should. Keep the field order in sync with the struct.
+// Hand-written because campaign point keys embed this Debug representation
+// (`scenarios::LinkPoint::key`) and every trial seed hashes the key: the output
+// must stay byte-identical to what earlier versions printed. That includes
+// `extraction: Sliding`, the field that once selected the segment-extraction
+// kernel; the sliding DFT is now the only kernel, but dropping the entry would
+// re-key and re-seed every existing campaign. Keep the field order in sync with
+// the struct.
 impl std::fmt::Debug for CpRecycleConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = f.debug_struct("CpRecycleConfig");
-        s.field("num_segments", &self.num_segments)
+        f.debug_struct("CpRecycleConfig")
+            .field("num_segments", &self.num_segments)
             .field("bandwidth_amplitude", &self.bandwidth_amplitude)
             .field("bandwidth_phase", &self.bandwidth_phase)
             .field("data_driven_bandwidth", &self.data_driven_bandwidth)
@@ -224,12 +182,9 @@ impl std::fmt::Debug for CpRecycleConfig {
             .field("isi_free_samples", &self.isi_free_samples)
             .field("min_bandwidth_amplitude", &self.min_bandwidth_amplitude)
             .field("min_bandwidth_phase", &self.min_bandwidth_phase)
-            .field("extraction", &self.extraction)
-            .field("model", &self.model);
-        if self.precision != KernelPrecision::F64 {
-            s.field("precision", &self.precision);
-        }
-        s.finish()
+            .field("extraction", &format_args!("Sliding"))
+            .field("model", &self.model)
+            .finish()
     }
 }
 
@@ -244,9 +199,7 @@ impl Default for CpRecycleConfig {
             isi_free_samples: None,
             min_bandwidth_amplitude: 0.05,
             min_bandwidth_phase: 0.2,
-            extraction: SegmentExtraction::default(),
             model: ModelBackend::default(),
-            precision: KernelPrecision::default(),
         }
     }
 }
@@ -358,21 +311,9 @@ impl CpRecycleConfigBuilder {
         self
     }
 
-    /// Selects the segment-extraction kernel.
-    pub fn extraction(mut self, extraction: SegmentExtraction) -> Self {
-        self.config.extraction = extraction;
-        self
-    }
-
     /// Selects the interference-estimator backend.
     pub fn model(mut self, model: ModelBackend) -> Self {
         self.config.model = model;
-        self
-    }
-
-    /// Selects the floating-point width of the vectorized inner kernels.
-    pub fn precision(mut self, precision: KernelPrecision) -> Self {
-        self.config.precision = precision;
         self
     }
 
@@ -390,7 +331,6 @@ mod tests {
     fn default_uses_whole_cp_and_data_driven_bandwidths() {
         let c = CpRecycleConfig::default();
         assert_eq!(c.num_segments, 16);
-        assert_eq!(c.extraction, SegmentExtraction::Sliding);
         assert!(c.data_driven_bandwidth);
         assert!(c.isi_free_samples.is_none());
         assert_eq!(c.bandwidth_selector(None), BandwidthSelector::LeaveOneOut);
@@ -461,7 +401,6 @@ mod tests {
             .isi_free_samples(Some(9))
             .min_bandwidth_amplitude(0.01)
             .min_bandwidth_phase(0.02)
-            .extraction(SegmentExtraction::Direct)
             .model(crate::estimator::ModelBackend::Gaussian)
             .build();
         assert_eq!(c.num_segments, 4);
@@ -472,7 +411,6 @@ mod tests {
         assert_eq!(c.isi_free_samples, Some(9));
         assert_eq!(c.min_bandwidth_amplitude, 0.01);
         assert_eq!(c.min_bandwidth_phase, 0.02);
-        assert_eq!(c.extraction, SegmentExtraction::Direct);
         assert_eq!(c.model, crate::estimator::ModelBackend::Gaussian);
         // The builder agrees with the one-field conveniences.
         assert_eq!(
@@ -484,34 +422,6 @@ mod tests {
                 .decision(DecisionStage::Naive)
                 .build(),
             CpRecycleConfig::with_decision(DecisionStage::Naive)
-        );
-    }
-
-    #[test]
-    fn precision_defaults_to_f64_and_stays_out_of_the_default_key() {
-        let c = CpRecycleConfig::default();
-        assert_eq!(c.precision, KernelPrecision::F64);
-        assert_eq!(KernelPrecision::F64.label(), "F64");
-        assert_eq!(KernelPrecision::F32.label(), "F32");
-        // The Debug form — embedded in campaign point keys — must not change for
-        // F64 configs when the precision field is at its default…
-        let key = format!("{c:?}");
-        assert!(
-            !key.contains("precision"),
-            "default key must omit precision: {key}"
-        );
-        assert!(key.starts_with("CpRecycleConfig {"));
-        assert!(key.contains("model: ExactKde"));
-        // …and an explicit F32 must show up as a new key dimension.
-        let f32_cfg = CpRecycleConfig::builder()
-            .precision(KernelPrecision::F32)
-            .build();
-        assert!(format!("{f32_cfg:?}").contains("precision: F32"));
-        assert_eq!(
-            CpRecycleConfig::builder()
-                .precision(KernelPrecision::F64)
-                .build(),
-            CpRecycleConfig::default()
         );
     }
 

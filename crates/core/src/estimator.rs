@@ -22,7 +22,7 @@
 //! queries. The backend is a field of [`CpRecycleConfig`], so it flows into every
 //! campaign point key and sweeps like any other receiver parameter.
 
-use crate::config::{CpRecycleConfig, KernelPrecision};
+use crate::config::CpRecycleConfig;
 use crate::interference_model::deviation;
 use crate::Result;
 use rfdsp::kde::{select_bandwidth_scratch, GridKde2d, GridSpec, ProductKde2d};
@@ -314,9 +314,6 @@ pub struct GridKdeEstimator {
     grids: Vec<Option<GridKde2d>>,
     spec: GridSpec,
     scratch: Vec<f64>,
-    /// Width of the batched lookup kernel; scalar queries always run the f64
-    /// reference path.
-    precision: KernelPrecision,
 }
 
 impl GridKdeEstimator {
@@ -327,30 +324,11 @@ impl GridKdeEstimator {
 
     /// An untrained estimator with an explicit resolution/extent policy.
     pub fn with_spec(fft_size: usize, spec: GridSpec) -> Self {
-        Self::with_spec_precision(fft_size, spec, KernelPrecision::F64)
-    }
-
-    /// An untrained estimator with an explicit grid policy and batched-kernel
-    /// precision: under [`KernelPrecision::F32`] the batched queries run the
-    /// all-f32 bilinear kernel ([`GridKde2d::log_eval_batch_f32`]) — roughly twice
-    /// the SIMD throughput for ≤ 1e-3 per-query error. Scalar queries are
-    /// unaffected.
-    pub fn with_spec_precision(
-        fft_size: usize,
-        spec: GridSpec,
-        precision: KernelPrecision,
-    ) -> Self {
         GridKdeEstimator {
             grids: vec![None; fft_size],
             spec,
             scratch: Vec::new(),
-            precision,
         }
-    }
-
-    /// The batched-kernel precision this estimator queries with.
-    pub fn precision(&self) -> KernelPrecision {
-        self.precision
     }
 
     /// The fitted grid of a bin, if any.
@@ -383,11 +361,8 @@ impl InterferenceEstimator for GridKdeEstimator {
         log_likes: &mut [f64],
     ) {
         match self.grid(bin) {
-            Some(grid) => match self.precision {
-                // Bit-for-bit with the scalar lookup (same ops, same order).
-                KernelPrecision::F64 => grid.log_eval_batch(amplitudes, phases, log_likes),
-                KernelPrecision::F32 => grid.log_eval_batch_f32(amplitudes, phases, log_likes),
-            },
+            // Bit-for-bit with the scalar lookup (same ops, same order).
+            Some(grid) => grid.log_eval_batch(amplitudes, phases, log_likes),
             None => fallback_batch(amplitudes, log_likes),
         }
     }
@@ -493,27 +468,11 @@ pub enum EstimatorState {
 }
 
 impl EstimatorState {
-    /// An untrained estimator of the given backend for `fft_size` bins, querying at
-    /// the reference [`KernelPrecision::F64`].
+    /// An untrained estimator of the given backend for `fft_size` bins.
     pub fn new(backend: ModelBackend, fft_size: usize) -> Self {
-        Self::with_precision(backend, fft_size, KernelPrecision::F64)
-    }
-
-    /// An untrained estimator with an explicit batched-kernel precision. Only the
-    /// grid backend has an f32 query kernel; the exact and Gaussian backends score
-    /// in f64 under either setting.
-    pub fn with_precision(
-        backend: ModelBackend,
-        fft_size: usize,
-        precision: KernelPrecision,
-    ) -> Self {
         match backend {
             ModelBackend::ExactKde => EstimatorState::Exact(ExactKdeEstimator::new(fft_size)),
-            ModelBackend::GridKde => EstimatorState::Grid(GridKdeEstimator::with_spec_precision(
-                fft_size,
-                GridSpec::default(),
-                precision,
-            )),
+            ModelBackend::GridKde => EstimatorState::Grid(GridKdeEstimator::new(fft_size)),
             ModelBackend::Gaussian => EstimatorState::Gaussian(GaussianEstimator::new(fft_size)),
         }
     }
@@ -698,27 +657,6 @@ mod tests {
                     "{backend:?} fallback query {i}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn f32_grid_batch_tracks_the_f64_batch() {
-        let samples = synthetic_samples(64, 16);
-        let config = CpRecycleConfig::default();
-        let mut f64_est = GridKdeEstimator::new(64);
-        f64_est.train(&samples, &config).unwrap();
-        let mut f32_est =
-            GridKdeEstimator::with_spec_precision(64, GridSpec::default(), KernelPrecision::F32);
-        assert_eq!(f32_est.precision(), KernelPrecision::F32);
-        f32_est.train(&samples, &config).unwrap();
-        let amps: Vec<f64> = (0..9).map(|i| 0.1 + 0.09 * i as f64).collect();
-        let phases: Vec<f64> = (0..9).map(|i| -0.8 + 0.21 * i as f64).collect();
-        let mut want = vec![0.0; amps.len()];
-        let mut got = vec![0.0; amps.len()];
-        f64_est.log_likelihood_batch(5, &amps, &phases, &mut want);
-        f32_est.log_likelihood_batch(5, &amps, &phases, &mut got);
-        for (i, (w, g)) in want.iter().zip(&got).enumerate() {
-            assert!((w - g).abs() < 1e-3, "query {i}: f64 {w} vs f32 {g}");
         }
     }
 

@@ -72,7 +72,7 @@ impl InterferenceModel {
     /// Creates an empty (untrained) model for an FFT of `fft_size` bins.
     pub fn new(fft_size: usize, config: CpRecycleConfig) -> Self {
         InterferenceModel {
-            estimator: EstimatorState::with_precision(config.model, fft_size, config.precision),
+            estimator: EstimatorState::new(config.model, fft_size),
             samples: vec![BinSamples::default(); fft_size],
             dirty: vec![false; fft_size],
             dirty_bins: Vec::new(),
@@ -275,7 +275,7 @@ impl InterferenceModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segments::extract_segments;
+    use crate::segments::{extract_segments, SegmentScratch};
     use ofdmphy::chanest::ChannelEstimate;
     use ofdmphy::params::OfdmParams;
     use ofdmphy::preamble;
@@ -316,7 +316,7 @@ mod tests {
         let symbols = ltf_preamble_symbols(&e, &ltf);
         let segs: Vec<_> = symbols
             .iter()
-            .map(|s| extract_segments(&e, s, &est, 17).unwrap())
+            .map(|s| extract_segments(&e, s, &est, 17, &mut SegmentScratch::new()).unwrap())
             .collect();
         let model = InterferenceModel::train(
             &e,
@@ -351,7 +351,7 @@ mod tests {
         let clean_syms = ltf_preamble_symbols(&e, &ltf);
         let clean_segs: Vec<_> = clean_syms
             .iter()
-            .map(|s| extract_segments(&e, s, &est_clean, 17).unwrap())
+            .map(|s| extract_segments(&e, s, &est_clean, 17, &mut SegmentScratch::new()).unwrap())
             .collect();
         let clean = InterferenceModel::train(
             &e,
@@ -371,7 +371,7 @@ mod tests {
         let intf_syms = ltf_preamble_symbols(&e, &combined.composite);
         let intf_segs: Vec<_> = intf_syms
             .iter()
-            .map(|s| extract_segments(&e, s, &est_intf, 17).unwrap())
+            .map(|s| extract_segments(&e, s, &est_intf, 17, &mut SegmentScratch::new()).unwrap())
             .collect();
         let interfered = InterferenceModel::train(
             &e,
@@ -402,7 +402,7 @@ mod tests {
         let symbols = ltf_preamble_symbols(&e, &ltf);
         let segs: Vec<_> = symbols
             .iter()
-            .map(|s| extract_segments(&e, s, &est, 9).unwrap())
+            .map(|s| extract_segments(&e, s, &est, 9, &mut SegmentScratch::new()).unwrap())
             .collect();
         let mut model = InterferenceModel::train(
             &e,
@@ -424,7 +424,7 @@ mod tests {
         assert!(InterferenceModel::train(&e, &[], &[], CpRecycleConfig::default()).is_err());
         let ltf = preamble::generate_ltf(e.params());
         let est = ChannelEstimate::identity(64);
-        let segs = extract_segments(&e, &ltf[16..96], &est, 5).unwrap();
+        let segs = extract_segments(&e, &ltf[16..96], &est, 5, &mut SegmentScratch::new()).unwrap();
         // Mismatched reference count.
         assert!(InterferenceModel::train(
             &e,
@@ -458,7 +458,7 @@ mod tests {
         let ltf = preamble::generate_ltf(e.params());
         let est = ChannelEstimate::from_ltf(&e, &ltf).unwrap();
         let reference = preamble::ltf_bins(e.params());
-        let segs = extract_segments(&e, &ltf[16..96], &est, 9).unwrap();
+        let segs = extract_segments(&e, &ltf[16..96], &est, 9, &mut SegmentScratch::new()).unwrap();
         let config = CpRecycleConfig {
             bandwidth_amplitude: Some(0.25),
             bandwidth_phase: Some(0.5),

@@ -36,10 +36,18 @@
 //! per-session ingress queues with explicit backpressure, and per-session outputs
 //! bit-identical to standalone sessions for any scheduling.
 //!
+//! Every receiver decodes through one call,
+//! [`FrameReceiver::decode`]`(stream, frame, recorder)`: the [`FrameInput`] says
+//! where the frame sits and what is known about it, the stream carries scratch and
+//! model state between frames, and the recorder takes stage timings (a
+//! `NoopRecorder` compiles them away). Batch callers hold a
+//! [`ModelPersistence::PerFrame`] stream.
+//!
 //! ## Quick example
 //!
 //! ```
-//! use cprecycle::{CpRecycleConfig, CpRecycleReceiver};
+//! use cprecycle::{CpRecycleConfig, CpRecycleReceiver, FrameInput, FrameReceiver, ModelPersistence};
+//! use obs::NoopRecorder;
 //! use ofdmphy::frame::{Mcs, Transmitter};
 //! use ofdmphy::modulation::Modulation;
 //! use ofdmphy::convcode::CodeRate;
@@ -53,7 +61,9 @@
 //!
 //! let rx = CpRecycleReceiver::new(params, CpRecycleConfig::default());
 //! let info = FrameInfo { mcs, psdu_len: frame.psdu.len() };
-//! let decoded = rx.decode_frame(&frame.samples, 0, Some(info)).unwrap();
+//! let mut stream = rx.new_stream(ModelPersistence::PerFrame);
+//! let input = FrameInput::new(&frame.samples, 0, Some(info));
+//! let decoded = rx.decode(&mut stream, input, &NoopRecorder).unwrap();
 //! assert!(decoded.crc_ok);
 //! assert_eq!(decoded.payload.as_deref(), Some(&b"hello cyclic prefix"[..]));
 //! ```
@@ -76,7 +86,7 @@ pub mod session;
 pub mod sphere_ml;
 
 pub use chunk_pool::{ChunkPool, ChunkPoolStats, PooledBuf};
-pub use config::{CpRecycleConfig, CpRecycleConfigBuilder, DecisionStage, KernelPrecision};
+pub use config::{CpRecycleConfig, CpRecycleConfigBuilder, DecisionStage};
 pub use decision::{
     DecoderScratch, LatticePoint, NaiveCentroidDecoder, OracleSegmentDecoder,
     StandardNearestDecoder, SubcarrierDecoder,
@@ -87,12 +97,12 @@ pub use estimator::{
 };
 pub use interference_model::InterferenceModel;
 pub use receiver::{CpRecycleReceiver, RxStream};
-pub use segments::{SegmentExtraction, SegmentPowers, SegmentScratch, SymbolSegments};
+pub use segments::{SegmentPowers, SegmentScratch, SymbolSegments};
 pub use server::{PushError, RxServer, ServerConfig, SessionHandle};
 pub use session::{RxEvent, RxSession, SessionConfig, SessionCounters};
 // The streaming-receiver contract lives next to `StandardReceiver` in `ofdmphy`;
 // re-exported here because sessions are this crate's API surface.
-pub use ofdmphy::rx::{FrameReceiver, ModelPersistence};
+pub use ofdmphy::rx::{FrameInput, FrameReceiver, ModelPersistence};
 pub use sphere_ml::FixedSphereMlDecoder;
 
 /// Convenience alias: the crate reuses the PHY error type since every failure mode is a

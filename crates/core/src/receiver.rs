@@ -10,12 +10,16 @@
 //!    `N_p = 2` preambles of an 802.11 frame) behind the configured estimator backend
 //!    ([`CpRecycleConfig::model`] — exact KDE, precomputed grid or Gaussian fit);
 //! 2. **extract**: for every subsequent OFDM symbol, extract the `P` ISI-free FFT
-//!    segments (sliding-DFT kernel by default);
+//!    segments with the sliding-DFT kernel;
 //! 3. **decide**: dispatch the configured [`SubcarrierDecoder`] — fixed-sphere ML,
 //!    naive average-distance, genie-aided Oracle or the standard-window decision —
 //!    over the bin-major observation slices;
 //! 4. **bit pipeline**: feed the decided lattice points into the unchanged `ofdmphy`
 //!    back end (deinterleave → Viterbi → descramble → FCS).
+//!
+//! The whole pipeline runs behind one call, [`FrameReceiver::decode`], against an
+//! [`RxStream`] that carries the scratch buffers and the interference model between
+//! frames; batch callers hold a [`ModelPersistence::PerFrame`] stream.
 //!
 //! With `num_segments = 1` the receiver degrades gracefully to the standard receiver
 //! (one window, centroid = the observation, sphere around it), matching the paper's
@@ -29,11 +33,11 @@ use crate::decision::{
 };
 use crate::interference_model::InterferenceModel;
 use crate::segments::{
-    extract_segments_precise, interference_power_per_segment_with, SegmentScratch, SymbolSegments,
+    extract_segments, interference_power_per_segment, SegmentScratch, SymbolSegments,
 };
 use crate::sphere_ml::FixedSphereMlDecoder;
 use crate::Result;
-use obs::{NoopRecorder, Recorder, Span, StageTimer};
+use obs::{Recorder, Span, StageTimer};
 use ofdmphy::chanest::ChannelEstimate;
 use ofdmphy::convcode::CodeRate;
 use ofdmphy::frame::parse_signal_bits;
@@ -42,7 +46,9 @@ use ofdmphy::modulation::Modulation;
 use ofdmphy::ofdm::OfdmEngine;
 use ofdmphy::params::OfdmParams;
 use ofdmphy::preamble;
-use ofdmphy::rx::{decode_psdu_from_symbols, FrameInfo, FrameReceiver, ModelPersistence, RxFrame};
+use ofdmphy::rx::{
+    decode_psdu_from_symbols, FrameInfo, FrameInput, FrameReceiver, ModelPersistence, RxFrame,
+};
 use ofdmphy::viterbi::ViterbiDecoder;
 use ofdmphy::PhyError;
 use rfdsp::Complex;
@@ -53,7 +59,8 @@ use rfdsp::Complex;
 /// the payload back.
 ///
 /// ```
-/// use cprecycle::{CpRecycleConfig, CpRecycleReceiver};
+/// use cprecycle::{CpRecycleConfig, CpRecycleReceiver, FrameInput, FrameReceiver, ModelPersistence};
+/// use obs::NoopRecorder;
 /// use ofdmphy::convcode::CodeRate;
 /// use ofdmphy::frame::{Mcs, Transmitter};
 /// use ofdmphy::modulation::Modulation;
@@ -66,8 +73,10 @@ use rfdsp::Complex;
 /// let frame = tx.build_frame(payload, mcs, 0x5D).unwrap();
 ///
 /// let rx = CpRecycleReceiver::new(params, CpRecycleConfig::default());
+/// let mut stream = rx.new_stream(ModelPersistence::PerFrame);
 /// // `None`: decode the SIGNAL field too, exactly like an over-the-air capture.
-/// let decoded = rx.decode_frame(&frame.samples, 0, None).unwrap();
+/// let input = FrameInput::new(&frame.samples, 0, None);
+/// let decoded = rx.decode(&mut stream, input, &NoopRecorder).unwrap();
 /// assert!(decoded.crc_ok);
 /// assert_eq!(decoded.info.mcs, mcs);
 /// assert_eq!(decoded.payload.as_deref(), Some(&payload[..]));
@@ -83,8 +92,8 @@ pub struct CpRecycleReceiver {
 /// extraction/decision scratch plus the cross-frame interference model.
 ///
 /// Under [`ModelPersistence::PerFrame`] every frame retrains the model from its own
-/// preamble, exactly like the batch [`CpRecycleReceiver::decode_frame`] — streamed
-/// and batch decodes are bit-for-bit identical. Under [`ModelPersistence::Rolling`]
+/// preamble, so a reused stream decodes every frame bit-for-bit like a fresh one —
+/// the stream batch callers hold. Under [`ModelPersistence::Rolling`]
 /// the model persists and each new frame's two LTF segment sets feed
 /// [`InterferenceModel::update`], the incremental dirty-bin refit: `N_p` grows by 2
 /// per frame and the per-subcarrier densities sharpen instead of resetting (§4.3's
@@ -141,15 +150,6 @@ impl RxStream {
     }
 }
 
-/// The cross-frame model slot `decode_inner` threads when a decode runs against an
-/// [`RxStream`] instead of a throwaway per-frame model.
-struct PersistentModel<'a> {
-    model: &'a mut Option<InterferenceModel>,
-    persistence: ModelPersistence,
-    frame_seq: u64,
-    model_frame: &'a mut u64,
-}
-
 impl CpRecycleReceiver {
     /// Creates a receiver for the given numerology and configuration.
     pub fn new(params: OfdmParams, config: CpRecycleConfig) -> Self {
@@ -185,368 +185,6 @@ impl CpRecycleReceiver {
         let isi_free = self.config.isi_free_samples.unwrap_or(params.cp_len);
         let available = isi_free.min(params.cp_len) + 1;
         self.config.num_segments.clamp(1, available)
-    }
-
-    /// Decodes a frame that starts at sample `frame_start` of `samples`.
-    ///
-    /// If `info` is `None` the SIGNAL field is decoded (with the CPRecycle decision
-    /// stage, so the SIGNAL symbol also benefits from interference mitigation);
-    /// otherwise the supplied metadata is used directly — the genie-aided mode the
-    /// controlled experiments use to isolate DATA-symbol errors.
-    pub fn decode_frame(
-        &self,
-        samples: &[Complex],
-        frame_start: usize,
-        info: Option<FrameInfo>,
-    ) -> Result<RxFrame> {
-        let mut scratch = SegmentScratch::new();
-        self.decode_frame_genie(samples, frame_start, info, None, &mut scratch)
-    }
-
-    /// [`decode_frame`](Self::decode_frame) with stage timings emitted into `obs`.
-    ///
-    /// Spans are keyed by the decision-stage family
-    /// ([`DecisionStage::kind_label`]) and, for model stages, the estimator
-    /// backend label: `("sync", kind)`, `("model_train", backend)`,
-    /// `("extract", kind)` and `("decide", kind)` per OFDM symbol,
-    /// `("bits", kind)`, and `("model_update", backend)` when a rolling model
-    /// absorbs a preamble. With a no-op recorder this monomorphises to exactly
-    /// the uninstrumented pipeline — decodes are bit-for-bit identical either
-    /// way (pinned by the `obs_equivalence` integration test).
-    pub fn decode_frame_observed<O: Recorder>(
-        &self,
-        samples: &[Complex],
-        frame_start: usize,
-        info: Option<FrameInfo>,
-        obs: &O,
-    ) -> Result<RxFrame> {
-        let mut scratch = SegmentScratch::new();
-        self.decode_inner(samples, frame_start, info, None, &mut scratch, None, obs)
-    }
-
-    /// [`decode_frame`](Self::decode_frame) with caller-owned scratch.
-    ///
-    /// The scratch holds the sliding-DFT plan, the per-symbol working buffers and the
-    /// decision-stage candidate/score buffers; reusing one across frames (the campaign
-    /// engine keeps one per worker) removes all per-frame twiddle construction and
-    /// keeps the decision stage allocation-free. `decode_frame` is the convenience
-    /// wrapper that allocates a throwaway scratch.
-    pub fn decode_frame_scratch(
-        &self,
-        samples: &[Complex],
-        frame_start: usize,
-        info: Option<FrameInfo>,
-        scratch: &mut SegmentScratch,
-    ) -> Result<RxFrame> {
-        self.decode_frame_genie(samples, frame_start, info, None, scratch)
-    }
-
-    /// [`decode_frame_scratch`](Self::decode_frame_scratch) with an optional genie
-    /// interference-only capture, aligned sample-for-sample with `samples`.
-    ///
-    /// Only the [`DecisionStage::Oracle`] stage reads the genie waveform (it measures
-    /// each symbol's per-segment interference power from it); every other stage
-    /// discards it before the pipeline starts, so harnesses that have the capture can
-    /// pass it unconditionally — even one shorter than the composite. Decoding with
-    /// the Oracle stage and no genie capture is an error, as is an Oracle decode
-    /// whose genie capture ends before the frame does.
-    pub fn decode_frame_genie(
-        &self,
-        samples: &[Complex],
-        frame_start: usize,
-        info: Option<FrameInfo>,
-        interference_only: Option<&[Complex]>,
-        scratch: &mut SegmentScratch,
-    ) -> Result<RxFrame> {
-        self.decode_inner(
-            samples,
-            frame_start,
-            info,
-            interference_only,
-            scratch,
-            None,
-            &NoopRecorder,
-        )
-    }
-
-    /// Decodes one frame of a sample stream, threading the cross-frame [`RxStream`]
-    /// state — the receiver half of the streaming API ([`crate::session::RxSession`]
-    /// drives it through the [`FrameReceiver`] trait; genie-timed harnesses like the
-    /// link campaigns call it directly).
-    ///
-    /// Under [`ModelPersistence::PerFrame`] this is bit-for-bit
-    /// [`decode_frame_scratch`](Self::decode_frame_scratch); under
-    /// [`ModelPersistence::Rolling`] the stream's interference model persists and
-    /// absorbs this frame's two LTF segment sets through the incremental
-    /// [`InterferenceModel::update`] (once per [`RxStream::begin_frame`], so decode
-    /// retries on a growing buffer stay idempotent).
-    pub fn decode_frame_session(
-        &self,
-        samples: &[Complex],
-        frame_start: usize,
-        info: Option<FrameInfo>,
-        interference_only: Option<&[Complex]>,
-        stream: &mut RxStream,
-    ) -> Result<RxFrame> {
-        self.decode_frame_session_observed(
-            samples,
-            frame_start,
-            info,
-            interference_only,
-            stream,
-            &NoopRecorder,
-        )
-    }
-
-    /// [`decode_frame_session`](Self::decode_frame_session) with stage timings
-    /// emitted into `obs` (same span map as
-    /// [`decode_frame_observed`](Self::decode_frame_observed)).
-    pub fn decode_frame_session_observed<O: Recorder>(
-        &self,
-        samples: &[Complex],
-        frame_start: usize,
-        info: Option<FrameInfo>,
-        interference_only: Option<&[Complex]>,
-        stream: &mut RxStream,
-        obs: &O,
-    ) -> Result<RxFrame> {
-        let RxStream {
-            scratch,
-            persistence,
-            model,
-            frame_seq,
-            model_frame,
-        } = stream;
-        self.decode_inner(
-            samples,
-            frame_start,
-            info,
-            interference_only,
-            scratch,
-            Some(PersistentModel {
-                model,
-                persistence: *persistence,
-                frame_seq: *frame_seq,
-                model_frame,
-            }),
-            obs,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn decode_inner<O: Recorder>(
-        &self,
-        samples: &[Complex],
-        frame_start: usize,
-        info: Option<FrameInfo>,
-        interference_only: Option<&[Complex]>,
-        scratch: &mut SegmentScratch,
-        persistent: Option<PersistentModel<'_>>,
-        obs: &O,
-    ) -> Result<RxFrame> {
-        // Stages that never read the genie waveform drop it here, so a short or
-        // misaligned capture cannot fail a decode that would not have touched it.
-        let interference_only = if self.config.decision.needs_genie() {
-            if interference_only.is_none() {
-                return Err(PhyError::invalid(
-                    "decision",
-                    "the Oracle decision stage needs the interference-only capture \
-                     (use decode_frame_genie)",
-                ));
-            }
-            interference_only
-        } else {
-            None
-        };
-        // --- Stage 1: sync — frame geometry and channel estimate ---------------------
-        let kind = self.config.decision.kind_label();
-        let backend = self.config.model.label();
-        let params = self.engine.params().clone();
-        let sym_len = params.symbol_len();
-        let preamble_len = preamble::preamble_len(&params);
-        let ltf_start = frame_start + preamble::ltf_start_offset(&params);
-        let signal_start = frame_start + preamble_len;
-        let data_start = signal_start + sym_len;
-        if samples.len() < data_start + sym_len {
-            return Err(PhyError::InsufficientSamples {
-                needed: data_start + sym_len,
-                available: samples.len(),
-            });
-        }
-        let timer = StageTimer::start(obs, Span::new("sync", kind));
-        let estimate = ChannelEstimate::from_ltf(&self.engine, &samples[ltf_start..signal_start])?;
-        timer.finish(obs);
-        let num_segments = self.effective_segments();
-        // Only the sphere stage scores with the interference model; the other stages
-        // skip the training cost entirely. A throwaway decode trains per frame; a
-        // stream decode consults the persistence policy. A *rolling* model defers
-        // absorbing this frame's preamble until the SIGNAL field has validated (or
-        // the caller vouched for the frame via genie `info`): streaming sessions
-        // decode every detection, and absorbing the "preamble" of a false detection
-        // — an interferer's leaked frame, a noise fluke — would poison the model for
-        // every later frame of the stream.
-        let mut persistent = persistent;
-        let mut throwaway: Option<InterferenceModel> = None;
-        let needs_model = self.config.decision.needs_interference_model();
-        let mut absorb_pending = false;
-        let mut commit_pending = false;
-        if needs_model {
-            let timer = StageTimer::start(obs, Span::new("model_train", backend));
-            let mut trained = true;
-            match &mut persistent {
-                None => {
-                    throwaway = Some(self.train_model(
-                        samples,
-                        ltf_start,
-                        &estimate,
-                        num_segments,
-                        scratch,
-                    )?);
-                }
-                Some(p) => match p.persistence {
-                    ModelPersistence::PerFrame => {
-                        // Retrained and replaced every frame, so a false detection's
-                        // garbage model never outlives its own (failing) decode.
-                        *p.model = Some(self.train_model(
-                            samples,
-                            ltf_start,
-                            &estimate,
-                            num_segments,
-                            scratch,
-                        )?);
-                        *p.model_frame = p.frame_seq;
-                    }
-                    ModelPersistence::Rolling if p.model.is_none() => {
-                        // First frame of a rolling stream: train into the throwaway
-                        // and only commit once the frame is trusted — a false
-                        // detection must not seed the stream's model.
-                        throwaway = Some(self.train_model(
-                            samples,
-                            ltf_start,
-                            &estimate,
-                            num_segments,
-                            scratch,
-                        )?);
-                        commit_pending = true;
-                    }
-                    ModelPersistence::Rolling => {
-                        absorb_pending = *p.model_frame != p.frame_seq;
-                        trained = false;
-                    }
-                },
-            }
-            if trained {
-                timer.finish(obs);
-            }
-        }
-
-        // --- Frame metadata (SIGNAL decodes through the same decision stage; a
-        //     rolling stream scores it with the pre-frame model) -----------------------
-        let info = match info {
-            Some(i) => i,
-            None => {
-                let model = model_in_use(needs_model, &throwaway, &persistent);
-                self.decode_signal(
-                    &samples[signal_start..signal_start + sym_len],
-                    &estimate,
-                    model,
-                    genie_symbol(interference_only, signal_start, sym_len)?,
-                    num_segments,
-                    scratch,
-                )?
-            }
-        };
-
-        // --- Stages 2+3: extract segments and decide every DATA symbol ---------------
-        let num_symbols = info.num_data_symbols(&params);
-        let needed = data_start + num_symbols * sym_len;
-        if samples.len() < needed {
-            return Err(PhyError::InsufficientSamples {
-                needed,
-                available: samples.len(),
-            });
-        }
-
-        let model = model_in_use(needs_model, &throwaway, &persistent);
-        let data_bins = params.data_bins();
-        let mut decided_symbols = Vec::with_capacity(num_symbols);
-        for s in 0..num_symbols {
-            let start = data_start + s * sym_len;
-            let timer = StageTimer::start(obs, Span::new("extract", kind));
-            let segments = extract_segments_precise(
-                &self.engine,
-                &samples[start..start + sym_len],
-                &estimate,
-                num_segments,
-                self.config.extraction,
-                self.config.precision,
-                scratch,
-            )?;
-            timer.finish(obs);
-            let timer = StageTimer::start(obs, Span::new("decide", kind));
-            decided_symbols.push(self.run_decision_stage(
-                info.mcs.modulation,
-                model,
-                &segments,
-                &data_bins,
-                genie_symbol(interference_only, start, sym_len)?,
-                num_segments,
-                scratch,
-            )?);
-            timer.finish(obs);
-        }
-
-        // --- Stage 4: the shared bit pipeline -----------------------------------------
-        let timer = StageTimer::start(obs, Span::new("bits", kind));
-        let (psdu, crc_ok) =
-            decode_psdu_from_symbols(&self.viterbi, &params, &decided_symbols, info)?;
-        timer.finish(obs);
-        let payload = if crc_ok {
-            Some(psdu[..psdu.len() - 4].to_vec())
-        } else {
-            None
-        };
-
-        // Cross-frame model maintenance, gated on the FCS verdict: only a frame whose
-        // CRC passed feeds the rolling model. Streaming sessions decode every
-        // detection, and a *phantom* — a false detection whose SIGNAL field happened
-        // to pass parity with a plausible length — reaches this point as a
-        // CRC-failed "frame"; absorbing its garbage "preamble" would poison the
-        // model for the rest of the stream (measured: a single phantom absorption
-        // costs more frames than skipping the preambles of genuinely corrupt own
-        // frames ever recovers). Decisions above always use the model as of the
-        // *previous* trusted frame; this frame's preamble sharpens the next one.
-        if crc_ok {
-            if commit_pending {
-                let p = persistent.as_mut().expect("commit implies a stream slot");
-                *p.model = throwaway.take();
-                *p.model_frame = p.frame_seq;
-                obs.counter("model_commits", 1);
-            } else if absorb_pending {
-                let timer = StageTimer::start(obs, Span::new("model_update", backend));
-                let p = persistent.as_mut().expect("absorb implies a stream slot");
-                let (seg1, seg2) = self.ltf_training_segments(
-                    samples,
-                    ltf_start,
-                    &estimate,
-                    num_segments,
-                    scratch,
-                )?;
-                let reference = preamble::ltf_bins(&params);
-                let m = p.model.as_mut().expect("absorb implies an existing model");
-                m.update_preambles(&self.engine, &[seg1, seg2], &reference)?;
-                *p.model_frame = p.frame_seq;
-                timer.finish(obs);
-                obs.counter("model_absorbs", 1);
-            }
-        }
-        Ok(RxFrame {
-            info,
-            psdu,
-            crc_ok,
-            payload,
-            equalized_symbols: decided_symbols,
-        })
     }
 
     /// Decides one symbol's data subcarriers with the configured [`DecisionStage`].
@@ -585,13 +223,8 @@ impl CpRecycleReceiver {
             )),
             DecisionStage::Oracle => {
                 let genie = genie_symbol.expect("checked before the pipeline started");
-                let powers = interference_power_per_segment_with(
-                    &self.engine,
-                    genie,
-                    num_segments,
-                    self.config.extraction,
-                    scratch,
-                )?;
+                let powers =
+                    interference_power_per_segment(&self.engine, genie, num_segments, scratch)?;
                 let decoder = OracleSegmentDecoder::new(modulation, &powers);
                 Ok(decoder.decide_symbol(segments, data_bins, &mut scratch.decision))
             }
@@ -621,22 +254,18 @@ impl CpRecycleReceiver {
         // Symbol 2: CP = tail of long symbol 1, data = long symbol 2.
         let sym2_start = ltf_start + 2 * c + f - c;
         let sym_len = params.symbol_len();
-        let seg1 = extract_segments_precise(
+        let seg1 = extract_segments(
             &self.engine,
             &samples[sym1_start..sym1_start + sym_len],
             estimate,
             num_segments,
-            self.config.extraction,
-            self.config.precision,
             scratch,
         )?;
-        let seg2 = extract_segments_precise(
+        let seg2 = extract_segments(
             &self.engine,
             &samples[sym2_start..sym2_start + sym_len],
             estimate,
             num_segments,
-            self.config.extraction,
-            self.config.precision,
             scratch,
         )?;
         Ok((seg1, seg2))
@@ -673,13 +302,11 @@ impl CpRecycleReceiver {
         scratch: &mut SegmentScratch,
     ) -> Result<FrameInfo> {
         let params = self.engine.params();
-        let segments: SymbolSegments = extract_segments_precise(
+        let segments: SymbolSegments = extract_segments(
             &self.engine,
             symbol_samples,
             estimate,
             num_segments,
-            self.config.extraction,
-            self.config.precision,
             scratch,
         )?;
         let data_bins = params.data_bins();
@@ -719,47 +346,242 @@ impl FrameReceiver for CpRecycleReceiver {
         stream.begin_frame();
     }
 
-    /// Streamed decode without a genie waveform: sessions run over-the-air-style, so
-    /// the [`DecisionStage::Oracle`] stage (which needs the interference-only
-    /// capture) is rejected here exactly as in [`CpRecycleReceiver::decode_frame`].
-    fn decode_stream(
+    /// Spans are keyed by the decision-stage family
+    /// ([`DecisionStage::kind_label`]) and, for model stages, the estimator
+    /// backend label: `("sync", kind)`, `("model_train", backend)`,
+    /// `("extract", kind)` and `("decide", kind)` per OFDM symbol,
+    /// `("bits", kind)`, and `("model_update", backend)` when a rolling model
+    /// absorbs a preamble. With a no-op recorder this monomorphises to exactly
+    /// the uninstrumented pipeline (pinned by the `obs_equivalence` integration
+    /// test).
+    ///
+    /// Under [`ModelPersistence::Rolling`] the stream's interference model
+    /// persists and absorbs this frame's two LTF segment sets through the
+    /// incremental [`InterferenceModel::update`] (once per
+    /// [`RxStream::begin_frame`], so decode retries on a growing buffer stay
+    /// idempotent). Decoding with the [`DecisionStage::Oracle`] stage and no
+    /// `frame.genie` is an error, as is an Oracle decode whose genie capture ends
+    /// before the frame does.
+    fn decode<O: Recorder>(
         &self,
         stream: &mut RxStream,
-        samples: &[Complex],
-        frame_start: usize,
-        info: Option<FrameInfo>,
-    ) -> Result<RxFrame> {
-        self.decode_frame_session(samples, frame_start, info, None, stream)
-    }
-
-    fn decode_stream_observed<O: Recorder>(
-        &self,
-        stream: &mut RxStream,
-        samples: &[Complex],
-        frame_start: usize,
-        info: Option<FrameInfo>,
+        frame: FrameInput<'_>,
         obs: &O,
     ) -> Result<RxFrame> {
-        self.decode_frame_session_observed(samples, frame_start, info, None, stream, obs)
+        let FrameInput {
+            samples,
+            start: frame_start,
+            info,
+            genie,
+        } = frame;
+        let RxStream {
+            scratch,
+            persistence,
+            model,
+            frame_seq,
+            model_frame,
+        } = stream;
+        // Stages that never read the genie waveform drop it here, so a short or
+        // misaligned capture cannot fail a decode that would not have touched it.
+        let interference_only = if self.config.decision.needs_genie() {
+            if genie.is_none() {
+                return Err(PhyError::invalid(
+                    "decision",
+                    "the Oracle decision stage needs the interference-only capture \
+                     (set FrameInput::genie)",
+                ));
+            }
+            genie
+        } else {
+            None
+        };
+        // --- Stage 1: sync — frame geometry and channel estimate ---------------------
+        let kind = self.config.decision.kind_label();
+        let backend = self.config.model.label();
+        let params = self.engine.params().clone();
+        let sym_len = params.symbol_len();
+        let preamble_len = preamble::preamble_len(&params);
+        let ltf_start = frame_start + preamble::ltf_start_offset(&params);
+        let signal_start = frame_start + preamble_len;
+        let data_start = signal_start + sym_len;
+        if samples.len() < data_start + sym_len {
+            return Err(PhyError::InsufficientSamples {
+                needed: data_start + sym_len,
+                available: samples.len(),
+            });
+        }
+        let timer = StageTimer::start(obs, Span::new("sync", kind));
+        let estimate = ChannelEstimate::from_ltf(&self.engine, &samples[ltf_start..signal_start])?;
+        timer.finish(obs);
+        let num_segments = self.effective_segments();
+        // Only the sphere stage scores with the interference model; the other stages
+        // skip the training cost entirely. A *rolling* model defers
+        // absorbing this frame's preamble until the SIGNAL field has validated (or
+        // the caller vouched for the frame via genie `info`): streaming sessions
+        // decode every detection, and absorbing the "preamble" of a false detection
+        // — an interferer's leaked frame, a noise fluke — would poison the model for
+        // every later frame of the stream.
+        let mut throwaway: Option<InterferenceModel> = None;
+        let needs_model = self.config.decision.needs_interference_model();
+        let mut absorb_pending = false;
+        let mut commit_pending = false;
+        if needs_model {
+            let timer = StageTimer::start(obs, Span::new("model_train", backend));
+            let mut trained = true;
+            match *persistence {
+                ModelPersistence::PerFrame => {
+                    // Retrained and replaced every frame, so a false detection's
+                    // garbage model never outlives its own (failing) decode.
+                    *model = Some(self.train_model(
+                        samples,
+                        ltf_start,
+                        &estimate,
+                        num_segments,
+                        scratch,
+                    )?);
+                    *model_frame = *frame_seq;
+                }
+                ModelPersistence::Rolling if model.is_none() => {
+                    // First frame of a rolling stream: train into the throwaway
+                    // and only commit once the frame is trusted — a false
+                    // detection must not seed the stream's model.
+                    throwaway = Some(self.train_model(
+                        samples,
+                        ltf_start,
+                        &estimate,
+                        num_segments,
+                        scratch,
+                    )?);
+                    commit_pending = true;
+                }
+                ModelPersistence::Rolling => {
+                    absorb_pending = *model_frame != *frame_seq;
+                    trained = false;
+                }
+            }
+            if trained {
+                timer.finish(obs);
+            }
+        }
+
+        // --- Frame metadata (SIGNAL decodes through the same decision stage; a
+        //     rolling stream scores it with the pre-frame model) -----------------------
+        let info = match info {
+            Some(i) => i,
+            None => {
+                let scoring = model_in_use(needs_model, model, &throwaway);
+                self.decode_signal(
+                    &samples[signal_start..signal_start + sym_len],
+                    &estimate,
+                    scoring,
+                    genie_symbol(interference_only, signal_start, sym_len)?,
+                    num_segments,
+                    scratch,
+                )?
+            }
+        };
+
+        // --- Stages 2+3: extract segments and decide every DATA symbol ---------------
+        let num_symbols = info.num_data_symbols(&params);
+        let needed = data_start + num_symbols * sym_len;
+        if samples.len() < needed {
+            return Err(PhyError::InsufficientSamples {
+                needed,
+                available: samples.len(),
+            });
+        }
+
+        let scoring = model_in_use(needs_model, model, &throwaway);
+        let data_bins = params.data_bins();
+        let mut decided_symbols = Vec::with_capacity(num_symbols);
+        for s in 0..num_symbols {
+            let start = data_start + s * sym_len;
+            let timer = StageTimer::start(obs, Span::new("extract", kind));
+            let segments = extract_segments(
+                &self.engine,
+                &samples[start..start + sym_len],
+                &estimate,
+                num_segments,
+                scratch,
+            )?;
+            timer.finish(obs);
+            let timer = StageTimer::start(obs, Span::new("decide", kind));
+            decided_symbols.push(self.run_decision_stage(
+                info.mcs.modulation,
+                scoring,
+                &segments,
+                &data_bins,
+                genie_symbol(interference_only, start, sym_len)?,
+                num_segments,
+                scratch,
+            )?);
+            timer.finish(obs);
+        }
+
+        // --- Stage 4: the shared bit pipeline -----------------------------------------
+        let timer = StageTimer::start(obs, Span::new("bits", kind));
+        let (psdu, crc_ok) =
+            decode_psdu_from_symbols(&self.viterbi, &params, &decided_symbols, info)?;
+        timer.finish(obs);
+        let payload = if crc_ok {
+            Some(psdu[..psdu.len() - 4].to_vec())
+        } else {
+            None
+        };
+
+        // Cross-frame model maintenance, gated on the FCS verdict: only a frame whose
+        // CRC passed feeds the rolling model. Streaming sessions decode every
+        // detection, and a *phantom* — a false detection whose SIGNAL field happened
+        // to pass parity with a plausible length — reaches this point as a
+        // CRC-failed "frame"; absorbing its garbage "preamble" would poison the
+        // model for the rest of the stream (measured: a single phantom absorption
+        // costs more frames than skipping the preambles of genuinely corrupt own
+        // frames ever recovers). Decisions above always use the model as of the
+        // *previous* trusted frame; this frame's preamble sharpens the next one.
+        if crc_ok {
+            if commit_pending {
+                *model = throwaway.take();
+                *model_frame = *frame_seq;
+                obs.counter("model_commits", 1);
+            } else if absorb_pending {
+                let timer = StageTimer::start(obs, Span::new("model_update", backend));
+                let (seg1, seg2) = self.ltf_training_segments(
+                    samples,
+                    ltf_start,
+                    &estimate,
+                    num_segments,
+                    scratch,
+                )?;
+                let reference = preamble::ltf_bins(&params);
+                let m = model.as_mut().expect("absorb implies an existing model");
+                m.update_preambles(&self.engine, &[seg1, seg2], &reference)?;
+                *model_frame = *frame_seq;
+                timer.finish(obs);
+                obs.counter("model_absorbs", 1);
+            }
+        }
+        Ok(RxFrame {
+            info,
+            psdu,
+            crc_ok,
+            payload,
+            equalized_symbols: decided_symbols,
+        })
     }
 }
 
-/// The interference model a decode phase should score with: the throwaway per-frame
-/// model, or the stream slot's persistent one.
+/// The interference model a decode phase should score with: the stream's model, or
+/// — on a rolling stream's first frame, until the frame is trusted — the
+/// not-yet-committed throwaway one.
 fn model_in_use<'a>(
     needs_model: bool,
+    stream_model: &'a Option<InterferenceModel>,
     throwaway: &'a Option<InterferenceModel>,
-    persistent: &'a Option<PersistentModel<'_>>,
 ) -> Option<&'a InterferenceModel> {
     if !needs_model {
         return None;
     }
-    match persistent {
-        None => throwaway.as_ref(),
-        // A rolling stream's first frame scores with the not-yet-committed
-        // throwaway model until the frame is trusted.
-        Some(p) => p.model.as_ref().or(throwaway.as_ref()),
-    }
+    stream_model.as_ref().or(throwaway.as_ref())
 }
 
 /// The genie slice of one symbol, with a readable error when the interference-only
@@ -786,6 +608,7 @@ fn genie_symbol(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::NoopRecorder;
     use ofdmphy::frame::{Mcs, Transmitter};
     use ofdmphy::rx::StandardReceiver;
     use rand::{Rng, SeedableRng};
@@ -798,6 +621,15 @@ mod tests {
             Transmitter::new(params.clone()),
             CpRecycleReceiver::new(params.clone(), CpRecycleConfig::default()),
             StandardReceiver::new(params),
+        )
+    }
+
+    /// Decodes `frame` on a fresh `PerFrame` stream — the batch call.
+    fn decode_fresh<R: FrameReceiver>(rx: &R, frame: FrameInput<'_>) -> Result<RxFrame> {
+        rx.decode(
+            &mut rx.new_stream(ModelPersistence::PerFrame),
+            frame,
+            &NoopRecorder,
         )
     }
 
@@ -839,7 +671,7 @@ mod tests {
         let payload = random_payload(120, 1);
         for mcs in Mcs::paper_set() {
             let frame = tx.build_frame(&payload, mcs, 0x5D).unwrap();
-            let decoded = rx.decode_frame(&frame.samples, 0, None).unwrap();
+            let decoded = decode_fresh(&rx, FrameInput::new(&frame.samples, 0, None)).unwrap();
             assert!(decoded.crc_ok, "{}", mcs.label());
             assert_eq!(decoded.payload.as_deref(), Some(&payload[..]));
             assert_eq!(decoded.info.mcs, mcs);
@@ -856,7 +688,7 @@ mod tests {
         let frame = tx.build_frame(&payload, mcs, 0x45).unwrap();
         let mut noisy = frame.samples.clone();
         chan.add_noise_snr(&mut rng, &mut noisy, 28.0).unwrap();
-        let decoded = rx.decode_frame(&noisy, 0, None).unwrap();
+        let decoded = decode_fresh(&rx, FrameInput::new(&noisy, 0, None)).unwrap();
         assert!(decoded.crc_ok);
         assert_eq!(decoded.payload.as_deref(), Some(&payload[..]));
     }
@@ -922,8 +754,8 @@ mod tests {
             let mut received = combined.composite;
             awgn.add_noise_snr(&mut rng, &mut received, 30.0).unwrap();
 
-            let cp_out = rx_cp.decode_frame(&received, 0, Some(info)).unwrap();
-            let std_out = rx_std.decode_frame(&received, 0, Some(info)).unwrap();
+            let cp_out = decode_fresh(&rx_cp, FrameInput::new(&received, 0, Some(info))).unwrap();
+            let std_out = decode_fresh(&rx_std, FrameInput::new(&received, 0, Some(info))).unwrap();
             cp_errors += symbol_error_rate(
                 &cp_out.equalized_symbols,
                 &frame.data_subcarrier_values,
@@ -976,7 +808,7 @@ mod tests {
         let payload = random_payload(100, 9);
         let mcs = Mcs::paper_set()[0];
         let frame = tx.build_frame(&payload, mcs, 0x5D).unwrap();
-        let decoded = rx.decode_frame(&frame.samples, 0, None).unwrap();
+        let decoded = decode_fresh(&rx, FrameInput::new(&frame.samples, 0, None)).unwrap();
         assert!(decoded.crc_ok);
         assert_eq!(decoded.payload.as_deref(), Some(&payload[..]));
     }
@@ -989,57 +821,9 @@ mod tests {
         let payload = random_payload(80, 6);
         let mcs = Mcs::paper_set()[1];
         let frame = tx.build_frame(&payload, mcs, 0x5D).unwrap();
-        let decoded = rx1.decode_frame(&frame.samples, 0, None).unwrap();
+        let decoded = decode_fresh(&rx1, FrameInput::new(&frame.samples, 0, None)).unwrap();
         assert!(decoded.crc_ok);
         assert_eq!(decoded.payload.as_deref(), Some(&payload[..]));
-    }
-
-    #[test]
-    fn direct_and_sliding_extraction_decode_identically() {
-        // The config switch selects between the sliding-DFT kernel and the reference
-        // direct-FFT path; on an interfered capture both must reach the same
-        // subcarrier decisions (the kernels agree to ≤ 1e-9, far inside any decision
-        // margin the sphere decoder sees).
-        use crate::segments::SegmentExtraction;
-        let params = OfdmParams::ieee80211ag();
-        let tx = Transmitter::new(params.clone());
-        let rx_sliding = CpRecycleReceiver::new(params.clone(), CpRecycleConfig::default());
-        let rx_direct = CpRecycleReceiver::new(
-            params,
-            CpRecycleConfig {
-                extraction: SegmentExtraction::Direct,
-                ..Default::default()
-            },
-        );
-        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-        let mut awgn = AwgnChannel::new();
-        let payload = random_payload(80, 9);
-        let mcs = Mcs::paper_set()[1];
-        let info = FrameInfo {
-            mcs,
-            psdu_len: payload.len() + 4,
-        };
-        let frame = tx.build_frame(&payload, mcs, 0x5D).unwrap();
-        let intf = tx
-            .build_frame(&random_payload(200, 10), Mcs::paper_set()[2], 0x2F)
-            .unwrap();
-        let spec = InterfererSpec::new(intf.samples, 0.0017, 31.4, 0.0);
-        let mut received = combine(&frame.samples, &[spec]).unwrap().composite;
-        awgn.add_noise_snr(&mut rng, &mut received, 25.0).unwrap();
-
-        let out_sliding = rx_sliding.decode_frame(&received, 0, Some(info)).unwrap();
-        let out_direct = rx_direct.decode_frame(&received, 0, Some(info)).unwrap();
-        assert_eq!(out_sliding.psdu, out_direct.psdu);
-        assert_eq!(out_sliding.crc_ok, out_direct.crc_ok);
-        for (a, b) in out_sliding
-            .equalized_symbols
-            .iter()
-            .zip(&out_direct.equalized_symbols)
-        {
-            for (x, y) in a.iter().zip(b) {
-                assert!((*x - *y).norm() < 1e-12, "decisions diverged: {x} vs {y}");
-            }
-        }
     }
 
     #[test]
@@ -1047,8 +831,8 @@ mod tests {
         let (tx, rx, _) = setup();
         let payload = random_payload(60, 7);
         let frame = tx.build_frame(&payload, Mcs::paper_set()[0], 0x5D).unwrap();
-        assert!(rx.decode_frame(&frame.samples[..300], 0, None).is_err());
-        assert!(rx.decode_frame(&frame.samples[..500], 0, None).is_err());
+        assert!(decode_fresh(&rx, FrameInput::new(&frame.samples[..300], 0, None)).is_err());
+        assert!(decode_fresh(&rx, FrameInput::new(&frame.samples[..500], 0, None)).is_err());
     }
 
     #[test]
@@ -1068,11 +852,15 @@ mod tests {
         ] {
             let rx =
                 CpRecycleReceiver::new(params.clone(), CpRecycleConfig::with_decision(decision));
-            let mut scratch = SegmentScratch::new();
             // The Oracle needs the genie capture; the others accept it and ignore it.
-            let decoded = rx
-                .decode_frame_genie(&frame.samples, 0, None, Some(&genie), &mut scratch)
-                .unwrap();
+            let decoded = decode_fresh(
+                &rx,
+                FrameInput {
+                    genie: Some(&genie),
+                    ..FrameInput::new(&frame.samples, 0, None)
+                },
+            )
+            .unwrap();
             assert!(decoded.crc_ok, "{}", decision.label());
             assert_eq!(
                 decoded.payload.as_deref(),
@@ -1097,7 +885,7 @@ mod tests {
             ModelBackend::Gaussian,
         ] {
             let rx = CpRecycleReceiver::new(params.clone(), CpRecycleConfig::with_model(backend));
-            let decoded = rx.decode_frame(&frame.samples, 0, None).unwrap();
+            let decoded = decode_fresh(&rx, FrameInput::new(&frame.samples, 0, None)).unwrap();
             assert!(decoded.crc_ok, "{}", backend.label());
             assert_eq!(
                 decoded.payload.as_deref(),
@@ -1137,8 +925,8 @@ mod tests {
         let rx_exact = CpRecycleReceiver::new(params.clone(), CpRecycleConfig::default());
         let rx_grid =
             CpRecycleReceiver::new(params, CpRecycleConfig::with_model(ModelBackend::GridKde));
-        let out_exact = rx_exact.decode_frame(&received, 0, Some(info)).unwrap();
-        let out_grid = rx_grid.decode_frame(&received, 0, Some(info)).unwrap();
+        let out_exact = decode_fresh(&rx_exact, FrameInput::new(&received, 0, Some(info))).unwrap();
+        let out_grid = decode_fresh(&rx_grid, FrameInput::new(&received, 0, Some(info))).unwrap();
         let ser_exact = symbol_error_rate(
             &out_exact.equalized_symbols,
             &frame.data_subcarrier_values,
@@ -1167,24 +955,33 @@ mod tests {
         let frame = tx
             .build_frame(&random_payload(60, 22), Mcs::paper_set()[0], 0x5D)
             .unwrap();
-        let err = rx.decode_frame(&frame.samples, 0, None).unwrap_err();
+        let err = decode_fresh(&rx, FrameInput::new(&frame.samples, 0, None)).unwrap_err();
         assert!(
             err.to_string().contains("Oracle"),
             "unexpected error: {err}"
         );
         // A genie capture shorter than the composite is also rejected, not a panic.
-        let mut scratch = SegmentScratch::new();
         let short = vec![Complex::zero(); 400];
-        assert!(rx
-            .decode_frame_genie(&frame.samples, 0, None, Some(&short), &mut scratch)
-            .is_err());
+        assert!(decode_fresh(
+            &rx,
+            FrameInput {
+                genie: Some(&short),
+                ..FrameInput::new(&frame.samples, 0, None)
+            },
+        )
+        .is_err());
         // …but stages that never read the genie waveform must not trip over it: the
         // same short capture is ignored by the sphere stage.
         let sphere_rx =
             CpRecycleReceiver::new(OfdmParams::ieee80211ag(), CpRecycleConfig::default());
-        let decoded = sphere_rx
-            .decode_frame_genie(&frame.samples, 0, None, Some(&short), &mut scratch)
-            .unwrap();
+        let decoded = decode_fresh(
+            &sphere_rx,
+            FrameInput {
+                genie: Some(&short),
+                ..FrameInput::new(&frame.samples, 0, None)
+            },
+        )
+        .unwrap();
         assert!(decoded.crc_ok);
     }
 
@@ -1203,21 +1000,33 @@ mod tests {
         let mut rolling = rx.new_stream(ModelPersistence::Rolling);
         rx.begin_frame(&mut rolling);
         let out1 = rx
-            .decode_frame_session(&frame1.samples, 0, None, None, &mut rolling)
+            .decode(
+                &mut rolling,
+                FrameInput::new(&frame1.samples, 0, None),
+                &NoopRecorder,
+            )
             .unwrap();
         assert!(out1.crc_ok);
         assert_eq!(rolling.model().unwrap().num_preambles(), 2);
         // A retry of the same frame (the session's growing-buffer pattern) is
         // idempotent: the model does not absorb the preamble twice.
         let retry = rx
-            .decode_frame_session(&frame1.samples, 0, None, None, &mut rolling)
+            .decode(
+                &mut rolling,
+                FrameInput::new(&frame1.samples, 0, None),
+                &NoopRecorder,
+            )
             .unwrap();
         assert_eq!(retry.psdu, out1.psdu);
         assert_eq!(rolling.model().unwrap().num_preambles(), 2);
         // The next frame updates incrementally instead of retraining.
         rx.begin_frame(&mut rolling);
         let out2 = rx
-            .decode_frame_session(&frame2.samples, 0, None, None, &mut rolling)
+            .decode(
+                &mut rolling,
+                FrameInput::new(&frame2.samples, 0, None),
+                &NoopRecorder,
+            )
             .unwrap();
         assert!(out2.crc_ok);
         assert_eq!(out2.payload.as_deref(), Some(&random_payload(60, 32)[..]));
@@ -1227,8 +1036,12 @@ mod tests {
         rolling.reset_model();
         assert!(rolling.model().is_none());
         rx.begin_frame(&mut rolling);
-        rx.decode_frame_session(&frame1.samples, 0, None, None, &mut rolling)
-            .unwrap();
+        rx.decode(
+            &mut rolling,
+            FrameInput::new(&frame1.samples, 0, None),
+            &NoopRecorder,
+        )
+        .unwrap();
         assert_eq!(rolling.model().unwrap().num_preambles(), 2);
 
         // PerFrame: the model is retrained for every frame.
@@ -1236,7 +1049,11 @@ mod tests {
         for frame in [&frame1, &frame2] {
             rx.begin_frame(&mut per_frame);
             let out = rx
-                .decode_frame_session(&frame.samples, 0, None, None, &mut per_frame)
+                .decode(
+                    &mut per_frame,
+                    FrameInput::new(&frame.samples, 0, None),
+                    &NoopRecorder,
+                )
                 .unwrap();
             assert!(out.crc_ok);
             assert_eq!(per_frame.model().unwrap().num_preambles(), 2);
@@ -1244,44 +1061,83 @@ mod tests {
     }
 
     #[test]
-    fn perframe_session_decode_is_bit_identical_to_batch() {
-        // The streamed PerFrame path and the batch path must agree bit-for-bit on an
-        // interfered capture — the receiver half of the session≡batch property (the
-        // full chunked-session property lives in tests/session_equivalence.rs).
+    fn perframe_stream_reuse_is_bit_identical_to_fresh_streams() {
+        // One PerFrame stream reused across interfered frames — with a truncated
+        // buffer (retried once complete) and a CRC failure in between — must decode
+        // every frame bit-for-bit like a fresh stream. This is what lets batch
+        // callers hold one stream instead of a throwaway decode path (the full
+        // chunked-session property lives in tests/session_equivalence.rs).
         let params = OfdmParams::ieee80211ag();
         let tx = Transmitter::new(params.clone());
         let rx = CpRecycleReceiver::new(params, CpRecycleConfig::default());
         let mut rng = rand::rngs::StdRng::seed_from_u64(44);
         let mut awgn = AwgnChannel::new();
-        let payload = random_payload(80, 45);
-        let mcs = Mcs::paper_set()[1];
-        let frame = tx.build_frame(&payload, mcs, 0x5D).unwrap();
-        let intf = tx
-            .build_frame(&random_payload(200, 46), Mcs::paper_set()[2], 0x2F)
-            .unwrap();
-        let spec = InterfererSpec::new(intf.samples, 0.0017, 19.3, 2.0);
-        let mut received = combine(&frame.samples, &[spec]).unwrap().composite;
-        awgn.add_noise_snr(&mut rng, &mut received, 25.0).unwrap();
-
-        let batch = rx.decode_frame(&received, 0, None).unwrap();
+        // (payload seed, payload bytes, paper-set MCS, interferer delay, SIR dB)
+        let cases = [
+            (45u64, 80usize, 1usize, 19.3, 20.0),
+            (47, 60, 0, 27.1, 8.0),
+            (49, 120, 1, 23.4, 14.0),
+            (51, 80, 1, 31.7, -25.0),
+            (53, 100, 0, 17.9, 10.0),
+        ];
         let mut stream = rx.new_stream(ModelPersistence::PerFrame);
-        rx.begin_frame(&mut stream);
-        let streamed = rx
-            .decode_frame_session(&received, 0, None, None, &mut stream)
-            .unwrap();
-        assert_eq!(streamed.psdu, batch.psdu);
-        assert_eq!(streamed.crc_ok, batch.crc_ok);
-        assert_eq!(streamed.info, batch.info);
-        for (a, b) in streamed
-            .equalized_symbols
-            .iter()
-            .zip(&batch.equalized_symbols)
-        {
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.re.to_bits(), y.re.to_bits());
-                assert_eq!(x.im.to_bits(), y.im.to_bits());
+        let mut crc_ok = Vec::new();
+        for (k, &(seed, len, mcs_idx, delay, sir_db)) in cases.iter().enumerate() {
+            let mcs = Mcs::paper_set()[mcs_idx];
+            let frame = tx
+                .build_frame(&random_payload(len, seed), mcs, 0x5D)
+                .unwrap();
+            let intf = tx
+                .build_frame(&random_payload(200, seed + 1), Mcs::paper_set()[2], 0x2F)
+                .unwrap();
+            let spec = InterfererSpec::new(intf.samples, 0.0017, delay, sir_db);
+            let mut received = combine(&frame.samples, &[spec]).unwrap().composite;
+            awgn.add_noise_snr(&mut rng, &mut received, 25.0).unwrap();
+            // Odd frames take genie metadata, even ones decode their SIGNAL field.
+            let info = (k % 2 == 1).then_some(FrameInfo {
+                mcs,
+                psdu_len: frame.psdu.len(),
+            });
+            rx.begin_frame(&mut stream);
+            if k == 2 {
+                let short = &received[..frame.samples.len() - 100];
+                let err = rx
+                    .decode(&mut stream, FrameInput::new(short, 0, info), &NoopRecorder)
+                    .unwrap_err();
+                assert!(
+                    matches!(err, PhyError::InsufficientSamples { needed, .. }
+                        if needed == frame.samples.len()),
+                    "{err}"
+                );
             }
+            let input = FrameInput::new(&received, 0, info);
+            let reused = rx.decode(&mut stream, input, &NoopRecorder).unwrap();
+            let fresh = decode_fresh(&rx, input).unwrap();
+            assert_eq!(reused.psdu, fresh.psdu, "frame {k}");
+            assert_eq!(reused.crc_ok, fresh.crc_ok, "frame {k}");
+            assert_eq!(reused.info, fresh.info, "frame {k}");
+            assert_eq!(
+                reused.equalized_symbols.len(),
+                fresh.equalized_symbols.len()
+            );
+            for (a, b) in reused
+                .equalized_symbols
+                .iter()
+                .zip(&fresh.equalized_symbols)
+            {
+                assert_eq!(a.len(), b.len());
+                for (x, y) in a.iter().zip(b) {
+                    assert_eq!(x.re.to_bits(), y.re.to_bits(), "frame {k}");
+                    assert_eq!(x.im.to_bits(), y.im.to_bits(), "frame {k}");
+                }
+            }
+            crc_ok.push(reused.crc_ok);
         }
+        assert_eq!(
+            crc_ok,
+            [true, true, true, false, true],
+            "only the -25 dB frame fails"
+        );
     }
 
     #[test]
@@ -1315,10 +1171,14 @@ mod tests {
         for decision in [DecisionStage::Oracle, DecisionStage::Standard] {
             let rx =
                 CpRecycleReceiver::new(params.clone(), CpRecycleConfig::with_decision(decision));
-            let mut scratch = SegmentScratch::new();
-            let out = rx
-                .decode_frame_genie(&received, 0, Some(info), Some(genie), &mut scratch)
-                .unwrap();
+            let out = decode_fresh(
+                &rx,
+                FrameInput {
+                    genie: Some(genie),
+                    ..FrameInput::new(&received, 0, Some(info))
+                },
+            )
+            .unwrap();
             sers.push(symbol_error_rate(
                 &out.equalized_symbols,
                 &frame.data_subcarrier_values,

@@ -22,9 +22,9 @@
 //! ```
 //!
 //! where the per-bin factor `e^{+i2πf(C−w)/F}/Ĥ[f]` itself advances by one precomputed
-//! twiddle per slide. The direct per-segment FFT path is kept behind
-//! [`SegmentExtraction::Direct`] as the reference implementation; a property test
-//! asserts the two agree to ≤ 1e-9 for every valid `P`.
+//! twiddle per slide. The direct per-segment FFT path is kept as a test oracle in
+//! [`reference`](mod@reference); a property test asserts the two agree to ≤ 1e-9
+//! for every valid `P`.
 //!
 //! # Storage
 //!
@@ -32,7 +32,6 @@
 //! so [`SymbolSegments::bin_observations`] — the access pattern of every decoder — is
 //! an allocation-free contiguous slice.
 
-use crate::config::KernelPrecision;
 use crate::Result;
 use ofdmphy::chanest::ChannelEstimate;
 use ofdmphy::ofdm::OfdmEngine;
@@ -40,20 +39,6 @@ use ofdmphy::PhyError;
 use rfdsp::lanes::LANES;
 use rfdsp::sliding::SlidingDft;
 use rfdsp::Complex;
-
-/// Which kernel extracts the per-symbol FFT segments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SegmentExtraction {
-    /// One seed FFT for the earliest window, then an `O(F)` one-sample slide per
-    /// further segment with the Eq. 2 phase ramp and the equalization folded into the
-    /// update (the default; ~7× faster than [`Direct`](Self::Direct) at `P = 16`,
-    /// `F = 64` — see the README performance table).
-    #[default]
-    Sliding,
-    /// The reference implementation: one direct FFT + phase correction + equalization
-    /// per segment. Kept selectable for validation and for A/B timing.
-    Direct,
-}
 
 /// The per-segment, per-bin observations extracted from one OFDM symbol.
 ///
@@ -203,13 +188,11 @@ impl SegmentPowers {
 /// Reusable scratch state for segment extraction: the [`SlidingDft`] plan and the
 /// per-symbol working buffers.
 ///
-/// Construct one per worker (or per frame) and thread it through
-/// [`extract_segments_with`] / [`CpRecycleReceiver::decode_frame_scratch`] so the
-/// twiddle tables are built once and the working buffers never reallocate; the
-/// campaign engine's worker-local state is the natural home
-/// (`cprecycle-scenarios` keeps one inside each prepared receiver).
-///
-/// [`CpRecycleReceiver::decode_frame_scratch`]: crate::receiver::CpRecycleReceiver::decode_frame_scratch
+/// Construct one per worker (or per stream) and thread it through
+/// [`extract_segments`] so the twiddle tables are built once and the working
+/// buffers never reallocate. The receiver keeps one in every
+/// [`RxStream`](crate::receiver::RxStream), so a stream reused across frames
+/// decodes without rebuilding it.
 #[derive(Debug, Clone, Default)]
 pub struct SegmentScratch {
     /// Lazily (re)built when the FFT size changes.
@@ -218,17 +201,6 @@ pub struct SegmentScratch {
     spectrum: Vec<Complex>,
     /// Per-bin fused factor `e^{+i2πk·shift/F} / Ĥ[k]` of the current window.
     ramp: Vec<Complex>,
-    /// Split-plane f32 mirrors of `spectrum` / `ramp`, sized only when a
-    /// [`KernelPrecision::F32`] extraction runs: the reduced-precision slide kernel
-    /// works on separate re/im planes so LLVM vectorizes it at twice the f64 lane
-    /// width.
-    spectrum_re32: Vec<f32>,
-    /// Imaginary plane of the f32 spectrum mirror.
-    spectrum_im32: Vec<f32>,
-    /// Real plane of the f32 ramp mirror.
-    ramp_re32: Vec<f32>,
-    /// Imaginary plane of the f32 ramp mirror.
-    ramp_im32: Vec<f32>,
     /// Decision-stage buffers (candidate indices, per-candidate log-likelihoods),
     /// threaded by the receiver into [`SubcarrierDecoder::decide_symbol`] so the whole
     /// extract → decide path is allocation-free after warm-up.
@@ -280,99 +252,25 @@ fn validate_symbol_len(engine: &OfdmEngine, symbol_samples: &[Complex]) -> Resul
     Ok(())
 }
 
-/// Extracts `num_segments` equalised FFT segments from one received OFDM symbol with
-/// the default [`SegmentExtraction::Sliding`] kernel and a throwaway scratch.
+/// Extracts `num_segments` equalised FFT segments from one received OFDM symbol.
 ///
 /// * `symbol_samples` — the `C + F` samples of the symbol (CP included).
 /// * `estimate` — the per-packet channel estimate (shared across segments: all ISI-free
 ///   windows see the same channel, paper Eq. 1).
 /// * `num_segments` — `P`; must be between 1 and `C + 1`.
+/// * `scratch` — the sliding plan and working buffers, reused across symbols.
 ///
 /// Segment `j` (0-based) uses the FFT window starting at sample `C − (P − 1) + j`, so
-/// the last segment is the standard window starting at `C`.
-///
-/// Hot paths should keep a [`SegmentScratch`] and call [`extract_segments_with`], which
-/// reuses the sliding plan and working buffers across symbols.
+/// the last segment is the standard window starting at `C`. The kernel seeds the
+/// earliest window with one FFT, then runs `P − 1` fused `O(F)` slide updates.
 pub fn extract_segments(
     engine: &OfdmEngine,
     symbol_samples: &[Complex],
     estimate: &ChannelEstimate,
     num_segments: usize,
-) -> Result<SymbolSegments> {
-    let mut scratch = SegmentScratch::new();
-    extract_segments_with(
-        engine,
-        symbol_samples,
-        estimate,
-        num_segments,
-        SegmentExtraction::Sliding,
-        &mut scratch,
-    )
-}
-
-/// Extracts `num_segments` equalised FFT segments with an explicit kernel and reusable
-/// scratch — the hot-path entry point (see [`extract_segments`] for the parameter
-/// contract).
-pub fn extract_segments_with(
-    engine: &OfdmEngine,
-    symbol_samples: &[Complex],
-    estimate: &ChannelEstimate,
-    num_segments: usize,
-    method: SegmentExtraction,
-    scratch: &mut SegmentScratch,
-) -> Result<SymbolSegments> {
-    extract_segments_precise(
-        engine,
-        symbol_samples,
-        estimate,
-        num_segments,
-        method,
-        KernelPrecision::F64,
-        scratch,
-    )
-}
-
-/// [`extract_segments_with`] with an explicit kernel precision.
-///
-/// [`KernelPrecision::F64`] is the reference path (what every other entry point
-/// runs). [`KernelPrecision::F32`] runs the `P − 1` fused slide updates on split
-/// f32 re/im planes — twice the SIMD lane width — and widens each observation back
-/// to f64 on store; the seed FFT and the Eq. 2 ramp initialisation stay in f64, so
-/// the rounding error is bounded by the slide recurrence alone (≤ 1e-3 per
-/// observation in practice, pinned by a test below). The
-/// [`SegmentExtraction::Direct`] reference kernel ignores `precision`.
-pub fn extract_segments_precise(
-    engine: &OfdmEngine,
-    symbol_samples: &[Complex],
-    estimate: &ChannelEstimate,
-    num_segments: usize,
-    method: SegmentExtraction,
-    precision: KernelPrecision,
     scratch: &mut SegmentScratch,
 ) -> Result<SymbolSegments> {
     validate_num_segments(engine, num_segments)?;
-    match method {
-        SegmentExtraction::Sliding => extract_sliding(
-            engine,
-            symbol_samples,
-            estimate,
-            num_segments,
-            precision,
-            scratch,
-        ),
-        SegmentExtraction::Direct => extract_direct(engine, symbol_samples, estimate, num_segments),
-    }
-}
-
-/// The sliding kernel: one seed FFT, then `P − 1` fused `O(F)` updates.
-fn extract_sliding(
-    engine: &OfdmEngine,
-    symbol_samples: &[Complex],
-    estimate: &ChannelEstimate,
-    num_segments: usize,
-    precision: KernelPrecision,
-    scratch: &mut SegmentScratch,
-) -> Result<SymbolSegments> {
     validate_symbol_len(engine, symbol_samples)?;
     let params = engine.params();
     let f = params.fft_size;
@@ -385,26 +283,7 @@ fn extract_sliding(
     }
     let p = num_segments;
     let s0 = c - (p - 1);
-    let _ = scratch.ensure(f);
-    if precision == KernelPrecision::F32 {
-        scratch.spectrum_re32.resize(f, 0.0);
-        scratch.spectrum_im32.resize(f, 0.0);
-        scratch.ramp_re32.resize(f, 0.0);
-        scratch.ramp_im32.resize(f, 0.0);
-    }
-    // Disjoint field borrows: the slide kernels need the plan, the f64 buffers and
-    // (for F32) the split planes simultaneously.
-    let SegmentScratch {
-        sliding,
-        spectrum,
-        ramp,
-        spectrum_re32,
-        spectrum_im32,
-        ramp_re32,
-        ramp_im32,
-        ..
-    } = scratch;
-    let sliding = sliding.as_ref().expect("plan just ensured");
+    let (sliding, spectrum, ramp) = scratch.ensure(f);
 
     // Seed: FFT of the earliest window, then fold phase ramp + equalizer into it.
     spectrum.copy_from_slice(&symbol_samples[s0..s0 + f]);
@@ -436,43 +315,17 @@ fn extract_sliding(
     // by one, so the slide twiddle cancels against the ramp step — the corrected,
     // equalised spectrum advances by a single multiply-add per bin, and the fused
     // per-bin factor steps down by one precomputed twiddle.
-    match precision {
-        KernelPrecision::F64 => {
-            let retreat = sliding.retreat_twiddles();
-            fused_slides_f64(
-                symbol_samples,
-                s0,
-                f,
-                p,
-                spectrum,
-                ramp,
-                retreat,
-                &mut values,
-            );
-        }
-        KernelPrecision::F32 => {
-            for k in 0..f {
-                spectrum_re32[k] = spectrum[k].re as f32;
-                spectrum_im32[k] = spectrum[k].im as f32;
-                ramp_re32[k] = ramp[k].re as f32;
-                ramp_im32[k] = ramp[k].im as f32;
-            }
-            let (retreat_re, retreat_im) = sliding.retreat_twiddles_f32();
-            fused_slides_f32(
-                symbol_samples,
-                s0,
-                f,
-                p,
-                spectrum_re32,
-                spectrum_im32,
-                ramp_re32,
-                ramp_im32,
-                retreat_re,
-                retreat_im,
-                &mut values,
-            );
-        }
-    }
+    let retreat = sliding.retreat_twiddles();
+    fused_slides_f64(
+        symbol_samples,
+        s0,
+        f,
+        p,
+        spectrum,
+        ramp,
+        retreat,
+        &mut values,
+    );
     Ok(SymbolSegments {
         num_segments: p,
         fft_size: f,
@@ -530,93 +383,6 @@ fn fused_slides_f64(
     }
 }
 
-/// The reduced-precision slide updates: the same recurrence as [`fused_slides_f64`]
-/// on split f32 re/im planes (twice the SIMD lane width), widening each observation
-/// back to f64 on store. Error relative to the f64 path is bounded by f32 rounding
-/// across at most `P − 1 ≤ C` accumulation steps — well inside the 1e-3 budget the
-/// [`KernelPrecision::F32`] contract states.
-#[allow(clippy::too_many_arguments)]
-fn fused_slides_f32(
-    symbol_samples: &[Complex],
-    s0: usize,
-    f: usize,
-    p: usize,
-    spectrum_re: &mut [f32],
-    spectrum_im: &mut [f32],
-    ramp_re: &mut [f32],
-    ramp_im: &mut [f32],
-    retreat_re: &[f32],
-    retreat_im: &[f32],
-    values: &mut [Complex],
-) {
-    let main = f - f % LANES;
-    for j in 1..p {
-        let w = s0 + j - 1;
-        let delta = symbol_samples[w + f] - symbol_samples[w];
-        let dr = delta.re as f32;
-        let di = delta.im as f32;
-        for k0 in (0..main).step_by(LANES) {
-            let mut sr = [0.0f32; LANES];
-            let mut si = [0.0f32; LANES];
-            let mut nr = [0.0f32; LANES];
-            let mut ni = [0.0f32; LANES];
-            for l in 0..LANES {
-                let (rr, ri) = (ramp_re[k0 + l], ramp_im[k0 + l]);
-                let (tr, ti) = (retreat_re[k0 + l], retreat_im[k0 + l]);
-                sr[l] = spectrum_re[k0 + l] + (dr * rr - di * ri);
-                si[l] = spectrum_im[k0 + l] + (dr * ri + di * rr);
-                nr[l] = rr * tr - ri * ti;
-                ni[l] = rr * ti + ri * tr;
-            }
-            for l in 0..LANES {
-                spectrum_re[k0 + l] = sr[l];
-                spectrum_im[k0 + l] = si[l];
-                ramp_re[k0 + l] = nr[l];
-                ramp_im[k0 + l] = ni[l];
-                values[(k0 + l) * p + j] = Complex::new(sr[l] as f64, si[l] as f64);
-            }
-        }
-        for k in main..f {
-            let (rr, ri) = (ramp_re[k], ramp_im[k]);
-            let (tr, ti) = (retreat_re[k], retreat_im[k]);
-            let sr = spectrum_re[k] + (dr * rr - di * ri);
-            let si = spectrum_im[k] + (dr * ri + di * rr);
-            spectrum_re[k] = sr;
-            spectrum_im[k] = si;
-            ramp_re[k] = rr * tr - ri * ti;
-            ramp_im[k] = rr * ti + ri * tr;
-            values[k * p + j] = Complex::new(sr as f64, si as f64);
-        }
-    }
-}
-
-/// The reference kernel: one direct FFT + phase correction + equalization per segment.
-fn extract_direct(
-    engine: &OfdmEngine,
-    symbol_samples: &[Complex],
-    estimate: &ChannelEstimate,
-    num_segments: usize,
-) -> Result<SymbolSegments> {
-    let params = engine.params();
-    let f = params.fft_size;
-    let c = params.cp_len;
-    let p = num_segments;
-    let mut values = vec![Complex::zero(); p * f];
-    for j in 0..p {
-        let window_start = c - (p - 1) + j;
-        let bins = engine.demodulate_window(symbol_samples, window_start)?;
-        let equalized = estimate.equalize(&bins)?;
-        for (bin, v) in equalized.into_iter().enumerate() {
-            values[bin * p + j] = v;
-        }
-    }
-    Ok(SymbolSegments {
-        num_segments: p,
-        fft_size: f,
-        values,
-    })
-}
-
 /// Measures the interference power per segment and per bin by demodulating an
 /// *interference-only* waveform with the same segment windows (no equalisation — raw
 /// received interference power). Used by the Oracle receiver and by the Fig. 4a/4b
@@ -626,65 +392,34 @@ pub fn interference_power_per_segment(
     engine: &OfdmEngine,
     interference_symbol: &[Complex],
     num_segments: usize,
-) -> Result<SegmentPowers> {
-    let mut scratch = SegmentScratch::new();
-    interference_power_per_segment_with(
-        engine,
-        interference_symbol,
-        num_segments,
-        SegmentExtraction::Sliding,
-        &mut scratch,
-    )
-}
-
-/// [`interference_power_per_segment`] with an explicit kernel and reusable scratch —
-/// the hot-path entry point used by the Oracle arm of the link campaigns.
-pub fn interference_power_per_segment_with(
-    engine: &OfdmEngine,
-    interference_symbol: &[Complex],
-    num_segments: usize,
-    method: SegmentExtraction,
     scratch: &mut SegmentScratch,
 ) -> Result<SegmentPowers> {
     validate_num_segments(engine, num_segments)?;
+    validate_symbol_len(engine, interference_symbol)?;
     let params = engine.params();
     let f = params.fft_size;
     let c = params.cp_len;
     let p = num_segments;
     let mut values = vec![0.0f64; p * f];
-    match method {
-        SegmentExtraction::Sliding => {
-            validate_symbol_len(engine, interference_symbol)?;
-            let s0 = c - (p - 1);
-            let (sliding, spectrum, _) = scratch.ensure(f);
-            // Phase corrections are unit-magnitude, so powers need only the raw
-            // sliding spectrum of each window.
-            spectrum.copy_from_slice(&interference_symbol[s0..s0 + f]);
-            sliding
-                .plan()
-                .fft_in_place(spectrum)
-                .expect("scratch buffer sized to plan");
-            for (bin, b) in spectrum.iter().enumerate() {
-                values[bin * p] = b.norm_sqr();
-            }
-            for j in 1..p {
-                let w = s0 + j - 1;
-                sliding
-                    .slide(spectrum, interference_symbol[w], interference_symbol[w + f])
-                    .expect("scratch buffer sized to plan");
-                for (bin, b) in spectrum.iter().enumerate() {
-                    values[bin * p + j] = b.norm_sqr();
-                }
-            }
-        }
-        SegmentExtraction::Direct => {
-            for j in 0..p {
-                let window_start = c - (p - 1) + j;
-                let bins = engine.demodulate_window(interference_symbol, window_start)?;
-                for (bin, b) in bins.iter().enumerate() {
-                    values[bin * p + j] = b.norm_sqr();
-                }
-            }
+    let s0 = c - (p - 1);
+    let (sliding, spectrum, _) = scratch.ensure(f);
+    // Phase corrections are unit-magnitude, so powers need only the raw sliding
+    // spectrum of each window.
+    spectrum.copy_from_slice(&interference_symbol[s0..s0 + f]);
+    sliding
+        .plan()
+        .fft_in_place(spectrum)
+        .expect("scratch buffer sized to plan");
+    for (bin, b) in spectrum.iter().enumerate() {
+        values[bin * p] = b.norm_sqr();
+    }
+    for j in 1..p {
+        let w = s0 + j - 1;
+        sliding
+            .slide(spectrum, interference_symbol[w], interference_symbol[w + f])
+            .expect("scratch buffer sized to plan");
+        for (bin, b) in spectrum.iter().enumerate() {
+            values[bin * p + j] = b.norm_sqr();
         }
     }
     Ok(SegmentPowers {
@@ -692,6 +427,74 @@ pub fn interference_power_per_segment_with(
         fft_size: f,
         values,
     })
+}
+
+/// Direct per-segment FFT implementations of the two extraction functions: one
+/// FFT per segment window, with no sliding recurrence. They are the test oracles
+/// the sliding kernels are checked against (≤ 1e-9) and the `direct` arm of the
+/// `segments` bench; the receiver never calls them.
+pub mod reference {
+    use super::{validate_num_segments, SegmentPowers, SymbolSegments};
+    use crate::Result;
+    use ofdmphy::chanest::ChannelEstimate;
+    use ofdmphy::ofdm::OfdmEngine;
+    use rfdsp::Complex;
+
+    /// [`extract_segments`](super::extract_segments) by one direct FFT, phase
+    /// correction and equalization per segment.
+    pub fn extract_segments_direct(
+        engine: &OfdmEngine,
+        symbol_samples: &[Complex],
+        estimate: &ChannelEstimate,
+        num_segments: usize,
+    ) -> Result<SymbolSegments> {
+        validate_num_segments(engine, num_segments)?;
+        let params = engine.params();
+        let f = params.fft_size;
+        let c = params.cp_len;
+        let p = num_segments;
+        let mut values = vec![Complex::zero(); p * f];
+        for j in 0..p {
+            let window_start = c - (p - 1) + j;
+            let bins = engine.demodulate_window(symbol_samples, window_start)?;
+            let equalized = estimate.equalize(&bins)?;
+            for (bin, v) in equalized.into_iter().enumerate() {
+                values[bin * p + j] = v;
+            }
+        }
+        Ok(SymbolSegments {
+            num_segments: p,
+            fft_size: f,
+            values,
+        })
+    }
+
+    /// [`interference_power_per_segment`](super::interference_power_per_segment)
+    /// by one direct FFT per segment window.
+    pub fn interference_power_per_segment_direct(
+        engine: &OfdmEngine,
+        interference_symbol: &[Complex],
+        num_segments: usize,
+    ) -> Result<SegmentPowers> {
+        validate_num_segments(engine, num_segments)?;
+        let params = engine.params();
+        let f = params.fft_size;
+        let c = params.cp_len;
+        let p = num_segments;
+        let mut values = vec![0.0f64; p * f];
+        for j in 0..p {
+            let window_start = c - (p - 1) + j;
+            let bins = engine.demodulate_window(interference_symbol, window_start)?;
+            for (bin, b) in bins.iter().enumerate() {
+                values[bin * p + j] = b.norm_sqr();
+            }
+        }
+        Ok(SegmentPowers {
+            num_segments: p,
+            fft_size: f,
+            values,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -726,7 +529,7 @@ mod tests {
         let e = engine();
         let (time, data) = random_symbol(&e, 1);
         let est = ChannelEstimate::identity(64);
-        let segs = extract_segments(&e, &time, &est, 17).unwrap();
+        let segs = extract_segments(&e, &time, &est, 17, &mut SegmentScratch::new()).unwrap();
         assert_eq!(segs.num_segments(), 17);
         assert_eq!(segs.fft_size(), 64);
         let reference = segs.standard();
@@ -755,12 +558,8 @@ mod tests {
         };
         let mut scratch = SegmentScratch::new();
         for p in [1usize, 2, 5, 16, 17] {
-            let sliding =
-                extract_segments_with(&e, &time, &est, p, SegmentExtraction::Sliding, &mut scratch)
-                    .unwrap();
-            let direct =
-                extract_segments_with(&e, &time, &est, p, SegmentExtraction::Direct, &mut scratch)
-                    .unwrap();
+            let sliding = extract_segments(&e, &time, &est, p, &mut scratch).unwrap();
+            let direct = reference::extract_segments_direct(&e, &time, &est, p).unwrap();
             for bin in 0..64 {
                 let a = sliding.bin_observations(bin);
                 let b = direct.bin_observations(bin);
@@ -849,54 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn f32_sliding_extraction_tracks_f64_within_budget() {
-        let e = engine();
-        let (time, _) = random_symbol(&e, 31);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(32);
-        let pdp = PowerDelayProfile::exponential(3, 1.0).unwrap();
-        let chan = MultipathChannel::realize(&pdp, FadingKind::Rayleigh, &mut rng);
-        let est = ChannelEstimate {
-            h: chan.frequency_response(64),
-        };
-        let mut scratch = SegmentScratch::new();
-        for p in [1usize, 2, 5, 16, 17] {
-            let full = extract_segments_precise(
-                &e,
-                &time,
-                &est,
-                p,
-                SegmentExtraction::Sliding,
-                KernelPrecision::F64,
-                &mut scratch,
-            )
-            .unwrap();
-            let reduced = extract_segments_precise(
-                &e,
-                &time,
-                &est,
-                p,
-                SegmentExtraction::Sliding,
-                KernelPrecision::F32,
-                &mut scratch,
-            )
-            .unwrap();
-            for bin in 0..64 {
-                let a = full.bin_observations(bin);
-                let b = reduced.bin_observations(bin);
-                for j in 0..p {
-                    let scale = 1.0 + a[j].norm();
-                    assert!(
-                        (a[j] - b[j]).norm() < 1e-3 * scale,
-                        "P {p}, segment {j}, bin {bin}: {} vs {}",
-                        a[j],
-                        b[j]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn scratch_adapts_to_fft_size_changes() {
         // One scratch reused across numerologies must resize its plan and buffers.
         let e64 = engine();
@@ -913,22 +664,14 @@ mod tests {
             .collect();
         let mut scratch = SegmentScratch::new();
         for _ in 0..2 {
-            let s64 = extract_segments_with(
-                &e64,
-                &t64,
-                &ChannelEstimate::identity(64),
-                5,
-                SegmentExtraction::Sliding,
-                &mut scratch,
-            )
-            .unwrap();
+            let s64 = extract_segments(&e64, &t64, &ChannelEstimate::identity(64), 5, &mut scratch)
+                .unwrap();
             assert_eq!(s64.fft_size(), 64);
-            let s128 = extract_segments_with(
+            let s128 = extract_segments(
                 &e128,
                 &t128,
                 &ChannelEstimate::identity(128),
                 9,
-                SegmentExtraction::Sliding,
                 &mut scratch,
             )
             .unwrap();
@@ -941,7 +684,7 @@ mod tests {
         let e = engine();
         let (time, _) = random_symbol(&e, 2);
         let est = ChannelEstimate::identity(64);
-        let segs = extract_segments(&e, &time, &est, 5).unwrap();
+        let segs = extract_segments(&e, &time, &est, 5, &mut SegmentScratch::new()).unwrap();
         let obs = segs.bin_observations(7);
         assert_eq!(obs.len(), 5);
         for o in obs {
@@ -1017,7 +760,7 @@ mod tests {
         };
         // Max excess delay is 3 samples → segments using window starts ≥ 3 are ISI-free:
         // that is P = 16 + 1 − 3 = 14 segments.
-        let segs = extract_segments(&e, this_symbol, &est, 14).unwrap();
+        let segs = extract_segments(&e, this_symbol, &est, 14, &mut SegmentScratch::new()).unwrap();
         let reference = segs.standard();
         for j in 0..segs.num_segments() {
             for &bin in &e.params().data_bins() {
@@ -1043,7 +786,13 @@ mod tests {
         intf.extend(intf_b);
         let spec = InterfererSpec::new(intf, 0.3, 23.4, -10.0);
         let combined = combine(&time, &[spec]).unwrap();
-        let powers = interference_power_per_segment(&e, &combined.interference[0], 17).unwrap();
+        let powers = interference_power_per_segment(
+            &e,
+            &combined.interference[0],
+            17,
+            &mut SegmentScratch::new(),
+        )
+        .unwrap();
         assert_eq!(powers.num_segments(), 17);
         assert_eq!(powers.fft_size(), 64);
         // Look at one occupied bin near the band edge and check the spread across
@@ -1066,22 +815,8 @@ mod tests {
         let (wave, _) = random_symbol(&e, 15);
         let mut scratch = SegmentScratch::new();
         for p in [1usize, 4, 17] {
-            let sliding = interference_power_per_segment_with(
-                &e,
-                &wave,
-                p,
-                SegmentExtraction::Sliding,
-                &mut scratch,
-            )
-            .unwrap();
-            let direct = interference_power_per_segment_with(
-                &e,
-                &wave,
-                p,
-                SegmentExtraction::Direct,
-                &mut scratch,
-            )
-            .unwrap();
+            let sliding = interference_power_per_segment(&e, &wave, p, &mut scratch).unwrap();
+            let direct = reference::interference_power_per_segment_direct(&e, &wave, p).unwrap();
             assert_eq!(sliding.num_segments(), p);
             for bin in 0..64 {
                 let a = sliding.bin_powers(bin);
@@ -1103,24 +838,15 @@ mod tests {
         let e = engine();
         let (time, _) = random_symbol(&e, 9);
         let est = ChannelEstimate::identity(64);
-        assert!(extract_segments(&e, &time, &est, 0).is_err());
-        assert!(extract_segments(&e, &time, &est, 18).is_err());
-        assert!(interference_power_per_segment(&e, &time, 0).is_err());
-        assert!(interference_power_per_segment(&e, &time, 18).is_err());
-        // Both kernels also reject truncated symbols and mismatched estimates.
         let mut scratch = SegmentScratch::new();
-        for method in [SegmentExtraction::Sliding, SegmentExtraction::Direct] {
-            assert!(extract_segments_with(&e, &time[..40], &est, 4, method, &mut scratch).is_err());
-        }
+        assert!(extract_segments(&e, &time, &est, 0, &mut scratch).is_err());
+        assert!(extract_segments(&e, &time, &est, 18, &mut scratch).is_err());
+        assert!(interference_power_per_segment(&e, &time, 0, &mut scratch).is_err());
+        assert!(interference_power_per_segment(&e, &time, 18, &mut scratch).is_err());
+        // Both kernels also reject truncated symbols and mismatched estimates.
+        assert!(extract_segments(&e, &time[..40], &est, 4, &mut scratch).is_err());
+        assert!(reference::extract_segments_direct(&e, &time[..40], &est, 4).is_err());
         let short_est = ChannelEstimate::identity(32);
-        assert!(extract_segments_with(
-            &e,
-            &time,
-            &short_est,
-            4,
-            SegmentExtraction::Sliding,
-            &mut scratch
-        )
-        .is_err());
+        assert!(extract_segments(&e, &time, &short_est, 4, &mut scratch).is_err());
     }
 }

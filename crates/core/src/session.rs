@@ -35,14 +35,14 @@
 //!   bit-identical to a whole-capture [`Synchronizer::detect`];
 //! * a decode is only attempted when the buffer can satisfy the receiver's exact
 //!   `InsufficientSamples::needed` count, and the final successful decode call sees
-//!   the same sample values as a batch `decode_frame` at the same start — so the
-//!   decoded frame (PSDU, FCS verdict, every subcarrier decision) is **bit-for-bit**
-//!   the batch result, for every chunk size.
+//!   the same sample values as a batch [`FrameReceiver::decode`] on a fresh stream
+//!   at the same start — so the decoded frame (PSDU, FCS verdict, every subcarrier
+//!   decision) is **bit-for-bit** the batch result, for every chunk size.
 
 use crate::Result;
 use obs::{MetricsSnapshot, NoopRecorder, Recorder, TraceEvent};
 use ofdmphy::preamble;
-use ofdmphy::rx::{FrameReceiver, ModelPersistence, RxFrame};
+use ofdmphy::rx::{FrameInput, FrameReceiver, ModelPersistence, RxFrame};
 use ofdmphy::sync::{CoarseDetection, CoarseDetector, SyncResult, Synchronizer};
 use ofdmphy::PhyError;
 use rfdsp::Complex;
@@ -638,8 +638,9 @@ impl<R: FrameReceiver, O: Recorder> RxSession<R, O> {
             // if this ever sits on a hot path.
             let mut corrected = self.buffer[rel_start..].to_vec();
             self.sync.correct_cfo(&mut corrected, sync.cfo_hz);
+            let frame = FrameInput::new(&corrected, 0, None);
             self.receiver
-                .decode_stream_observed(&mut self.stream, &corrected, 0, None, &self.obs)
+                .decode(&mut self.stream, frame, &self.obs)
                 .map_err(|e| match e {
                     PhyError::InsufficientSamples { needed, available } => {
                         PhyError::InsufficientSamples {
@@ -650,13 +651,8 @@ impl<R: FrameReceiver, O: Recorder> RxSession<R, O> {
                     other => other,
                 })
         } else {
-            self.receiver.decode_stream_observed(
-                &mut self.stream,
-                &self.buffer,
-                rel_start,
-                None,
-                &self.obs,
-            )
+            let frame = FrameInput::new(&self.buffer, rel_start, None);
+            self.receiver.decode(&mut self.stream, frame, &self.obs)
         }
     }
 }

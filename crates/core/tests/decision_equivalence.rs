@@ -11,9 +11,10 @@ use cprecycle::decision::{
 };
 use cprecycle::segments::SymbolSegments;
 use cprecycle::{
-    CpRecycleConfig, CpRecycleReceiver, DecisionStage, FixedSphereMlDecoder, InterferenceModel,
-    SegmentScratch,
+    CpRecycleConfig, CpRecycleReceiver, DecisionStage, FixedSphereMlDecoder, FrameInput,
+    FrameReceiver, InterferenceModel, ModelPersistence, RxStream,
 };
+use obs::NoopRecorder;
 use ofdmphy::frame::{Mcs, Transmitter};
 use ofdmphy::modulation::Modulation;
 use ofdmphy::ofdm::OfdmEngine;
@@ -285,17 +286,18 @@ fn standard_stage_matches_single_segment_sphere_decode() {
         CpRecycleReceiver::new(params, CpRecycleConfig::builder().num_segments(1).build());
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xFACE);
     let mut awgn = AwgnChannel::new();
-    let mut scratch = SegmentScratch::new();
+    let mut stream = RxStream::new(ModelPersistence::PerFrame);
     for (trial, mcs) in Mcs::paper_set().iter().take(3).enumerate() {
         let payload: Vec<u8> = (0..100).map(|_| rng.gen()).collect();
         let frame = tx.build_frame(&payload, *mcs, 0x5D).unwrap();
         let mut noisy = frame.samples.clone();
         awgn.add_noise_snr(&mut rng, &mut noisy, 22.0).unwrap();
+        let input = FrameInput::new(&noisy, 0, None);
         let a = standard_rx
-            .decode_frame_scratch(&noisy, 0, None, &mut scratch)
+            .decode(&mut stream, input, &NoopRecorder)
             .unwrap();
         let b = sphere_p1_rx
-            .decode_frame_scratch(&noisy, 0, None, &mut scratch)
+            .decode(&mut stream, input, &NoopRecorder)
             .unwrap();
         assert_eq!(a.psdu, b.psdu, "trial {trial}: PSDU diverged");
         assert_eq!(a.crc_ok, b.crc_ok, "trial {trial}");

@@ -16,7 +16,7 @@
 use cprecycle::estimator::{
     EstimatorState, ExactKdeEstimator, GridKdeEstimator, InterferenceEstimator, ModelBackend,
 };
-use cprecycle::segments::{extract_segments, SymbolSegments};
+use cprecycle::segments::{extract_segments, SegmentScratch, SymbolSegments};
 use cprecycle::{CpRecycleConfig, InterferenceModel};
 use ofdmphy::ofdm::OfdmEngine;
 use ofdmphy::params::OfdmParams;
@@ -221,7 +221,7 @@ fn backends_agree_with_model_dispatch_on_real_segments() {
     let ltf = preamble::generate_ltf(e.params());
     let est = ChannelEstimate::from_ltf(&e, &ltf).unwrap();
     let reference = preamble::ltf_bins(e.params());
-    let segs = extract_segments(&e, &ltf[16..96], &est, 9).unwrap();
+    let segs = extract_segments(&e, &ltf[16..96], &est, 9, &mut SegmentScratch::new()).unwrap();
     let config = CpRecycleConfig::default();
     let model = InterferenceModel::train(
         &e,

@@ -1,6 +1,6 @@
 //! The observability layer's pinned invariant: **instrumentation never changes a
 //! decode**. An instrumented run (live `InMemoryRecorder`) must produce bit-for-bit
-//! the same results as the no-op-recorder run and the plain uninstrumented API — same
+//! the same results as the no-op-recorder run — same
 //! [`SyncResult`] bits, same PSDU, same FCS verdict, same equalized subcarrier
 //! decisions — for both receivers, on the batch path and on chunked sessions.
 //!
@@ -14,7 +14,7 @@ use ofdmphy::convcode::CodeRate;
 use ofdmphy::frame::{Mcs, Transmitter};
 use ofdmphy::modulation::Modulation;
 use ofdmphy::params::OfdmParams;
-use ofdmphy::rx::{FrameReceiver, RxFrame, StandardReceiver};
+use ofdmphy::rx::{FrameInput, FrameReceiver, ModelPersistence, RxFrame, StandardReceiver};
 use ofdmphy::sync::SyncResult;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -128,9 +128,21 @@ fn stream_once<R: FrameReceiver, O: Recorder>(
     )
 }
 
-/// Batch path, both receivers: `decode_frame_observed` with a live recorder must be
-/// bit-identical to the plain `decode_frame`, and the recorder must actually have
-/// seen the stage spans.
+/// Decodes the frame at `start` of `capture` on a fresh `PerFrame` stream.
+fn decode_fresh<R: FrameReceiver, O: Recorder>(
+    rx: &R,
+    capture: &[Complex],
+    start: usize,
+    obs: &O,
+) -> RxFrame {
+    let mut stream = rx.new_stream(ModelPersistence::PerFrame);
+    rx.decode(&mut stream, FrameInput::new(capture, start, None), obs)
+        .unwrap()
+}
+
+/// Batch path, both receivers: a decode with a live recorder must be bit-identical
+/// to the no-op-recorder decode, and the recorder must actually have seen the stage
+/// spans.
 #[test]
 fn instrumented_batch_decode_is_bit_identical() {
     for (seed, interfered) in [(11u64, false), (12, true)] {
@@ -140,16 +152,10 @@ fn instrumented_batch_decode_is_bit_identical() {
         let standard = StandardReceiver::new(params());
         let sync = ofdmphy::sync::Synchronizer::new(params());
         let det = sync.detect(&capture).unwrap().expect("detected");
-        let plain = standard
-            .decode_frame(&capture, det.frame_start, None)
-            .unwrap();
-        let noop = standard
-            .decode_frame_observed(&capture, det.frame_start, None, &NoopRecorder)
-            .unwrap();
+        let plain = decode_fresh(&standard, &capture, det.frame_start, &NoopRecorder);
+        let noop = decode_fresh(&standard, &capture, det.frame_start, &NoopRecorder);
         let rec = InMemoryRecorder::default();
-        let live = standard
-            .decode_frame_observed(&capture, det.frame_start, None, &rec)
-            .unwrap();
+        let live = decode_fresh(&standard, &capture, det.frame_start, &rec);
         assert_frames_bit_identical(&plain, &noop, &format!("standard noop, {context}"));
         assert_frames_bit_identical(&plain, &live, &format!("standard live, {context}"));
         let snap = rec.snapshot().unwrap();
@@ -157,14 +163,10 @@ fn instrumented_batch_decode_is_bit_identical() {
         assert!(snap.stage("decide", "Standard").is_some(), "{context}");
 
         let cp = CpRecycleReceiver::new(params(), CpRecycleConfig::default());
-        let plain = cp.decode_frame(&capture, det.frame_start, None).unwrap();
-        let noop = cp
-            .decode_frame_observed(&capture, det.frame_start, None, &NoopRecorder)
-            .unwrap();
+        let plain = decode_fresh(&cp, &capture, det.frame_start, &NoopRecorder);
+        let noop = decode_fresh(&cp, &capture, det.frame_start, &NoopRecorder);
         let rec = InMemoryRecorder::default();
-        let live = cp
-            .decode_frame_observed(&capture, det.frame_start, None, &rec)
-            .unwrap();
+        let live = decode_fresh(&cp, &capture, det.frame_start, &rec);
         assert_frames_bit_identical(&plain, &noop, &format!("cprecycle noop, {context}"));
         assert_frames_bit_identical(&plain, &live, &format!("cprecycle live, {context}"));
         let snap = rec.snapshot().unwrap();

@@ -4,8 +4,12 @@
 //! direct per-segment FFT reference to ≤ 1e-9, and with one segment the CPRecycle
 //! receiver must still degrade to the standard receiver bit-for-bit.
 
-use cprecycle::segments::{extract_segments_with, SegmentExtraction, SegmentScratch};
-use cprecycle::{CpRecycleConfig, CpRecycleReceiver};
+use cprecycle::segments::reference::{
+    extract_segments_direct, interference_power_per_segment_direct,
+};
+use cprecycle::segments::{extract_segments, interference_power_per_segment, SegmentScratch};
+use cprecycle::{CpRecycleConfig, CpRecycleReceiver, FrameInput, FrameReceiver, ModelPersistence};
+use obs::NoopRecorder;
 use ofdmphy::chanest::ChannelEstimate;
 use ofdmphy::frame::{Mcs, Transmitter};
 use ofdmphy::ofdm::OfdmEngine;
@@ -77,12 +81,8 @@ proptest! {
             let estimate = random_estimate(fft_size, h_seed ^ fft_size as u64);
             let mut scratch = SegmentScratch::new();
             for p in 1..=params.cp_len + 1 {
-                let sliding = extract_segments_with(
-                    &engine, &symbol, &estimate, p, SegmentExtraction::Sliding, &mut scratch,
-                ).unwrap();
-                let direct = extract_segments_with(
-                    &engine, &symbol, &estimate, p, SegmentExtraction::Direct, &mut scratch,
-                ).unwrap();
+                let sliding = extract_segments(&engine, &symbol, &estimate, p, &mut scratch).unwrap();
+                let direct = extract_segments_direct(&engine, &symbol, &estimate, p).unwrap();
                 prop_assert_eq!(sliding.num_segments(), p);
                 for bin in 0..fft_size {
                     let a = sliding.bin_observations(bin);
@@ -103,18 +103,13 @@ proptest! {
     /// interference-power profiles (which feed the Oracle) agree to relative 1e-9.
     #[test]
     fn interference_power_kernels_agree(seed in any::<u64>()) {
-        use cprecycle::segments::interference_power_per_segment_with;
         let params = OfdmParams::ieee80211ag();
         let engine = OfdmEngine::new(params.clone());
         let wave = random_symbol(params.symbol_len(), seed);
         let mut scratch = SegmentScratch::new();
         for p in 1..=params.cp_len + 1 {
-            let sliding = interference_power_per_segment_with(
-                &engine, &wave, p, SegmentExtraction::Sliding, &mut scratch,
-            ).unwrap();
-            let direct = interference_power_per_segment_with(
-                &engine, &wave, p, SegmentExtraction::Direct, &mut scratch,
-            ).unwrap();
+            let sliding = interference_power_per_segment(&engine, &wave, p, &mut scratch).unwrap();
+            let direct = interference_power_per_segment_direct(&engine, &wave, p).unwrap();
             for bin in 0..params.fft_size {
                 for (a, b) in sliding.bin_powers(bin).iter().zip(direct.bin_powers(bin)) {
                     prop_assert!((a - b).abs() <= 1e-9 * (1.0 + a.max(*b)));
@@ -124,22 +119,15 @@ proptest! {
     }
 }
 
-/// Regression: with `P = 1` the CPRecycle receiver — on either extraction kernel —
-/// still degrades to the standard receiver bit-for-bit: same decoded PSDU, same FCS
-/// verdict, same payload, across several noisy captures.
+/// Regression: with `P = 1` the CPRecycle receiver still degrades to the standard
+/// receiver bit-for-bit: same decoded PSDU, same FCS verdict, same payload, across
+/// several noisy captures.
 #[test]
 fn single_segment_degrades_to_standard_receiver_bit_for_bit() {
     let params = OfdmParams::ieee80211ag();
     let tx = Transmitter::new(params.clone());
     let standard = StandardReceiver::new(params.clone());
-    let sliding_rx = CpRecycleReceiver::new(params.clone(), CpRecycleConfig::with_segments(1));
-    let direct_rx = CpRecycleReceiver::new(
-        params,
-        CpRecycleConfig::builder()
-            .num_segments(1)
-            .extraction(SegmentExtraction::Direct)
-            .build(),
-    );
+    let rx = CpRecycleReceiver::new(params, CpRecycleConfig::with_segments(1));
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0DE);
     let mut awgn = AwgnChannel::new();
     for (trial, mcs) in Mcs::paper_set().iter().take(3).enumerate() {
@@ -147,16 +135,16 @@ fn single_segment_degrades_to_standard_receiver_bit_for_bit() {
         let frame = tx.build_frame(&payload, *mcs, 0x5D).unwrap();
         let mut noisy = frame.samples.clone();
         awgn.add_noise_snr(&mut rng, &mut noisy, 22.0).unwrap();
-        let std_out = standard.decode_frame(&noisy, 0, None).unwrap();
-        for (name, rx) in [("sliding", &sliding_rx), ("direct", &direct_rx)] {
-            let cp_out = rx.decode_frame(&noisy, 0, None).unwrap();
-            assert_eq!(
-                cp_out.psdu, std_out.psdu,
-                "trial {trial} ({name}): PSDU bits diverged from the standard receiver"
-            );
-            assert_eq!(cp_out.crc_ok, std_out.crc_ok, "trial {trial} ({name})");
-            assert_eq!(cp_out.payload, std_out.payload, "trial {trial} ({name})");
-            assert_eq!(cp_out.info.mcs, *mcs, "trial {trial} ({name})");
-        }
+        let input = FrameInput::new(&noisy, 0, None);
+        let std_out = standard.decode(&mut (), input, &NoopRecorder).unwrap();
+        let mut stream = rx.new_stream(ModelPersistence::PerFrame);
+        let cp_out = rx.decode(&mut stream, input, &NoopRecorder).unwrap();
+        assert_eq!(
+            cp_out.psdu, std_out.psdu,
+            "trial {trial}: PSDU bits diverged from the standard receiver"
+        );
+        assert_eq!(cp_out.crc_ok, std_out.crc_ok, "trial {trial}");
+        assert_eq!(cp_out.payload, std_out.payload, "trial {trial}");
+        assert_eq!(cp_out.info.mcs, *mcs, "trial {trial}");
     }
 }

@@ -16,12 +16,12 @@
 use cprecycle::server::{PushError, RxServer, ServerConfig};
 use cprecycle::session::{RxEvent, RxSession, SessionConfig, SessionCounters};
 use cprecycle::{CpRecycleConfig, CpRecycleReceiver};
-use obs::InMemoryRecorder;
+use obs::{InMemoryRecorder, Recorder};
 use ofdmphy::convcode::CodeRate;
 use ofdmphy::frame::{Mcs, Transmitter};
 use ofdmphy::modulation::Modulation;
 use ofdmphy::params::OfdmParams;
-use ofdmphy::rx::{FrameInfo, FrameReceiver, ModelPersistence, RxFrame, StandardReceiver};
+use ofdmphy::rx::{FrameInput, FrameReceiver, ModelPersistence, RxFrame, StandardReceiver};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -457,14 +457,13 @@ impl FrameReceiver for GatedReceiver {
         self.inner.begin_frame(stream);
     }
 
-    fn decode_stream(
+    fn decode<O: Recorder>(
         &self,
         stream: &mut Self::Stream,
-        samples: &[Complex],
-        frame_start: usize,
-        info: Option<FrameInfo>,
+        frame: FrameInput<'_>,
+        obs: &O,
     ) -> ofdmphy::Result<RxFrame> {
-        self.inner.decode_stream(stream, samples, frame_start, info)
+        self.inner.decode(stream, frame, obs)
     }
 }
 

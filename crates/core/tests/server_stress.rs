@@ -20,11 +20,12 @@
 use cprecycle::server::{RxServer, ServerConfig};
 use cprecycle::session::{RxSession, SessionConfig, SessionCounters};
 use cprecycle::{CpRecycleConfig, CpRecycleReceiver};
+use obs::Recorder;
 use ofdmphy::convcode::CodeRate;
 use ofdmphy::frame::{Mcs, Transmitter};
 use ofdmphy::modulation::Modulation;
 use ofdmphy::params::OfdmParams;
-use ofdmphy::rx::{FrameInfo, FrameReceiver, ModelPersistence, RxFrame, StandardReceiver};
+use ofdmphy::rx::{FrameInput, FrameReceiver, ModelPersistence, RxFrame, StandardReceiver};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfdsp::Complex;
@@ -214,20 +215,15 @@ impl FrameReceiver for SoakReceiver {
         }
     }
 
-    fn decode_stream(
+    fn decode<O: Recorder>(
         &self,
         stream: &mut Self::Stream,
-        samples: &[Complex],
-        frame_start: usize,
-        info: Option<FrameInfo>,
+        frame: FrameInput<'_>,
+        obs: &O,
     ) -> ofdmphy::Result<RxFrame> {
         match (self, stream) {
-            (SoakReceiver::Standard(r), SoakStream::Standard(s)) => {
-                r.decode_stream(s, samples, frame_start, info)
-            }
-            (SoakReceiver::CpRecycle(r), SoakStream::CpRecycle(s)) => {
-                r.decode_stream(s, samples, frame_start, info)
-            }
+            (SoakReceiver::Standard(r), SoakStream::Standard(s)) => r.decode(s, frame, obs),
+            (SoakReceiver::CpRecycle(r), SoakStream::CpRecycle(s)) => r.decode(s, frame, obs),
             _ => unreachable!("stream built by a different receiver family"),
         }
     }

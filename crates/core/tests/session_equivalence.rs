@@ -3,7 +3,7 @@
 //!
 //! * a capture pushed through an [`RxSession`] in chunks of **any** size decodes
 //!   **bit-for-bit** identically to the batch path (whole-buffer
-//!   `Synchronizer::detect` + `decode_frame` at the detected start): same
+//!   `Synchronizer::detect` + a fresh-stream decode at the detected start): same
 //!   [`SyncResult`] bits, same PSDU, same FCS verdict, same subcarrier decisions —
 //!   for chunk sizes {1, 7, 64, 480, whole-capture}, random lead-in/trailing gaps,
 //!   clean and interfered captures, both receivers;
@@ -12,11 +12,12 @@
 
 use cprecycle::session::{RxEvent, RxSession, SessionConfig};
 use cprecycle::{CpRecycleConfig, CpRecycleReceiver};
+use obs::NoopRecorder;
 use ofdmphy::convcode::CodeRate;
 use ofdmphy::frame::{Mcs, Transmitter};
 use ofdmphy::modulation::Modulation;
 use ofdmphy::params::OfdmParams;
-use ofdmphy::rx::{FrameReceiver, RxFrame, StandardReceiver};
+use ofdmphy::rx::{FrameInput, FrameReceiver, ModelPersistence, RxFrame, StandardReceiver};
 use ofdmphy::sync::{SyncResult, Synchronizer};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -159,7 +160,10 @@ proptest! {
         let (batch_sync, batch_frame) = batch_reference(
             &sync,
             &capture,
-            |samples, start| rx.decode_frame(samples, start, None),
+            |samples, start| {
+                let mut stream = rx.new_stream(ModelPersistence::PerFrame);
+                rx.decode(&mut stream, FrameInput::new(samples, start, None), &NoopRecorder)
+            },
         );
         for chunk in CHUNK_SIZES.iter().copied().chain([capture.len()]) {
             let rx = CpRecycleReceiver::new(params(), CpRecycleConfig::default());
@@ -182,7 +186,7 @@ proptest! {
         let (batch_sync, batch_frame) = batch_reference(
             &sync,
             &capture,
-            |samples, start| rx.decode_frame(samples, start, None),
+            |samples, start| rx.decode(&mut (), FrameInput::new(samples, start, None), &NoopRecorder),
         );
         for chunk in CHUNK_SIZES.iter().copied().chain([capture.len()]) {
             let rx = StandardReceiver::new(params());

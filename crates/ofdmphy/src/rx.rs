@@ -21,7 +21,7 @@ use crate::preamble;
 use crate::scrambler::Scrambler;
 use crate::viterbi::ViterbiDecoder;
 use crate::{PhyError, Result};
-use obs::{NoopRecorder, Recorder, Span, StageTimer};
+use obs::{Recorder, Span, StageTimer};
 use rfdsp::Complex;
 
 /// Frame metadata either decoded from the SIGNAL field or supplied by the caller
@@ -56,9 +56,8 @@ impl FrameInfo {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ModelPersistence {
     /// Retrain the model from scratch on every frame's preamble — each decode is
-    /// bit-for-bit identical to a batch
-    /// [`decode_frame`](StandardReceiver::decode_frame)-style call, the mode the
-    /// equivalence properties pin.
+    /// bit-for-bit identical to a decode on a fresh stream, the mode the
+    /// equivalence properties pin and the one batch callers use.
     #[default]
     PerFrame,
     /// Keep the model across frames and feed each new frame's LTF segments through the
@@ -107,35 +106,51 @@ pub trait FrameReceiver {
     /// once per retry).
     fn begin_frame(&self, _stream: &mut Self::Stream) {}
 
-    /// Decodes a frame starting at `frame_start` of `samples`, threading the stream
-    /// state. `info: None` decodes the SIGNAL field (the over-the-air mode sessions
-    /// use); an insufficient buffer must surface as
+    /// Decodes `frame`, threading the stream state and emitting stage timings into
+    /// `obs`.
+    ///
+    /// `frame.info: None` decodes the SIGNAL field (the over-the-air mode sessions
+    /// use). An insufficient buffer must surface as
     /// [`PhyError::InsufficientSamples`] with an accurate `needed`, which is the
-    /// contract sessions use to wait for exactly the right amount of further samples.
-    fn decode_stream(
+    /// contract sessions use to wait for exactly the right amount of further
+    /// samples. The result must be bit-for-bit independent of the recorder (the
+    /// observability layer's core invariant, pinned by the `obs_equivalence`
+    /// tests).
+    fn decode<O: Recorder>(
         &self,
         stream: &mut Self::Stream,
-        samples: &[Complex],
-        frame_start: usize,
-        info: Option<FrameInfo>,
-    ) -> Result<RxFrame>;
-
-    /// Like [`decode_stream`](Self::decode_stream), but emitting stage timings
-    /// into `obs`. The default forwards to the unobserved path, so existing
-    /// implementations stay valid; both in-tree receivers override it with a
-    /// fully instrumented pipeline. Implementations must guarantee the decode
-    /// result is bit-for-bit independent of the recorder (the observability
-    /// layer's core invariant, pinned by the `obs_equivalence` tests).
-    fn decode_stream_observed<O: Recorder>(
-        &self,
-        stream: &mut Self::Stream,
-        samples: &[Complex],
-        frame_start: usize,
-        info: Option<FrameInfo>,
+        frame: FrameInput<'_>,
         obs: &O,
-    ) -> Result<RxFrame> {
-        let _ = obs;
-        self.decode_stream(stream, samples, frame_start, info)
+    ) -> Result<RxFrame>;
+}
+
+/// One frame to decode: where it sits in a capture and what the caller already
+/// knows about it.
+#[derive(Debug, Clone, Copy)]
+pub struct FrameInput<'a> {
+    /// The capture holding the frame.
+    pub samples: &'a [Complex],
+    /// Index of the frame's first sample in `samples`.
+    pub start: usize,
+    /// `None` decodes the SIGNAL field; `Some` supplies the metadata instead and
+    /// skips it — the genie-aided mode the controlled experiments use to isolate
+    /// DATA-symbol errors.
+    pub info: Option<FrameInfo>,
+    /// The interference-only capture, aligned sample-for-sample with `samples`.
+    /// Only CPRecycle's Oracle decision stage reads it; every other receiver and
+    /// stage ignores it.
+    pub genie: Option<&'a [Complex]>,
+}
+
+impl<'a> FrameInput<'a> {
+    /// A frame at `start` of `samples`, without a genie capture.
+    pub fn new(samples: &'a [Complex], start: usize, info: Option<FrameInfo>) -> Self {
+        FrameInput {
+            samples,
+            start,
+            info,
+            genie: None,
+        }
     }
 }
 
@@ -176,32 +191,57 @@ impl StandardReceiver {
         &self.engine
     }
 
-    /// Decodes a frame that starts at sample `frame_start` of `samples`.
-    ///
-    /// If `info` is `None` the SIGNAL field is decoded to obtain the MCS and length;
-    /// otherwise the supplied values are used (and the SIGNAL symbol is skipped), which
-    /// is how the controlled experiments isolate DATA-symbol errors.
-    pub fn decode_frame(
+    /// Decodes the SIGNAL symbol into frame metadata.
+    fn decode_signal(
         &self,
-        samples: &[Complex],
-        frame_start: usize,
-        info: Option<FrameInfo>,
-    ) -> Result<RxFrame> {
-        self.decode_frame_observed(samples, frame_start, info, &NoopRecorder)
+        symbol_samples: &[Complex],
+        estimate: &ChannelEstimate,
+    ) -> Result<FrameInfo> {
+        let params = self.engine.params();
+        let bins = self.engine.demodulate_standard(symbol_samples)?;
+        let eq = estimate.equalize(&bins)?;
+        let polarity = pilot_polarity_sequence();
+        let cpe = common_phase_correction(&self.engine, &eq, polarity[0])?;
+        let corrected: Vec<Complex> = eq.iter().map(|v| *v * cpe).collect();
+        let data = self.engine.extract_data(&corrected)?;
+        let bits = Modulation::Bpsk.demap_hard_all(&data);
+        let interleaver = Interleaver::new(params.num_data_subcarriers(), 1)?;
+        let deinterleaved = interleaver.deinterleave(&bits)?;
+        let decoded = self.viterbi.decode(&deinterleaved, CodeRate::Half)?;
+        let (mcs, psdu_len) = parse_signal_bits(&decoded)?;
+        if psdu_len == 0 {
+            return Err(PhyError::DecodeFailure("SIGNAL length of zero".into()));
+        }
+        Ok(FrameInfo { mcs, psdu_len })
+    }
+}
+
+impl FrameReceiver for StandardReceiver {
+    /// The standard receiver keeps no cross-frame state.
+    type Stream = ();
+
+    fn params(&self) -> &OfdmParams {
+        self.engine.params()
     }
 
-    /// [`decode_frame`](Self::decode_frame) with stage timings emitted into
-    /// `obs` under the spans `("sync", "Standard")`, `("decide", "Standard")`
-    /// (the per-symbol demodulate/equalise/CPE chain — the standard receiver's
-    /// whole subcarrier-decision stage) and `("bits", "Standard")`. With a
-    /// [`NoopRecorder`] this monomorphises to exactly the uninstrumented code.
-    pub fn decode_frame_observed<O: Recorder>(
+    fn new_stream(&self, _persistence: ModelPersistence) -> Self::Stream {}
+
+    /// Spans: `("sync", "Standard")`, `("decide", "Standard")` per DATA symbol
+    /// (the demodulate/equalise/CPE chain — the standard receiver's whole
+    /// subcarrier-decision stage) and `("bits", "Standard")`. `frame.genie` is
+    /// ignored.
+    fn decode<O: Recorder>(
         &self,
-        samples: &[Complex],
-        frame_start: usize,
-        info: Option<FrameInfo>,
+        _stream: &mut Self::Stream,
+        frame: FrameInput<'_>,
         obs: &O,
     ) -> Result<RxFrame> {
+        let FrameInput {
+            samples,
+            start: frame_start,
+            info,
+            ..
+        } = frame;
         let params = self.engine.params();
         let preamble_len = preamble::preamble_len(params);
         let sym_len = params.symbol_len();
@@ -271,62 +311,6 @@ impl StandardReceiver {
             payload,
             equalized_symbols,
         })
-    }
-
-    /// Decodes the SIGNAL symbol into frame metadata.
-    fn decode_signal(
-        &self,
-        symbol_samples: &[Complex],
-        estimate: &ChannelEstimate,
-    ) -> Result<FrameInfo> {
-        let params = self.engine.params();
-        let bins = self.engine.demodulate_standard(symbol_samples)?;
-        let eq = estimate.equalize(&bins)?;
-        let polarity = pilot_polarity_sequence();
-        let cpe = common_phase_correction(&self.engine, &eq, polarity[0])?;
-        let corrected: Vec<Complex> = eq.iter().map(|v| *v * cpe).collect();
-        let data = self.engine.extract_data(&corrected)?;
-        let bits = Modulation::Bpsk.demap_hard_all(&data);
-        let interleaver = Interleaver::new(params.num_data_subcarriers(), 1)?;
-        let deinterleaved = interleaver.deinterleave(&bits)?;
-        let decoded = self.viterbi.decode(&deinterleaved, CodeRate::Half)?;
-        let (mcs, psdu_len) = parse_signal_bits(&decoded)?;
-        if psdu_len == 0 {
-            return Err(PhyError::DecodeFailure("SIGNAL length of zero".into()));
-        }
-        Ok(FrameInfo { mcs, psdu_len })
-    }
-}
-
-impl FrameReceiver for StandardReceiver {
-    /// The standard receiver keeps no cross-frame state.
-    type Stream = ();
-
-    fn params(&self) -> &OfdmParams {
-        self.engine.params()
-    }
-
-    fn new_stream(&self, _persistence: ModelPersistence) -> Self::Stream {}
-
-    fn decode_stream(
-        &self,
-        _stream: &mut Self::Stream,
-        samples: &[Complex],
-        frame_start: usize,
-        info: Option<FrameInfo>,
-    ) -> Result<RxFrame> {
-        self.decode_frame(samples, frame_start, info)
-    }
-
-    fn decode_stream_observed<O: Recorder>(
-        &self,
-        _stream: &mut Self::Stream,
-        samples: &[Complex],
-        frame_start: usize,
-        info: Option<FrameInfo>,
-        obs: &O,
-    ) -> Result<RxFrame> {
-        self.decode_frame_observed(samples, frame_start, info, obs)
     }
 }
 
@@ -419,6 +403,7 @@ pub fn flatten_symbols(symbols: &[Vec<Complex>]) -> Vec<Complex> {
 mod tests {
     use super::*;
     use crate::frame::Transmitter;
+    use obs::NoopRecorder;
     use rand::{Rng, SeedableRng};
     use wirelesschan::awgn::AwgnChannel;
     use wirelesschan::multipath::{FadingKind, MultipathChannel, PowerDelayProfile};
@@ -427,6 +412,19 @@ mod tests {
         (
             Transmitter::new(OfdmParams::ieee80211ag()),
             StandardReceiver::new(OfdmParams::ieee80211ag()),
+        )
+    }
+
+    fn decode(
+        rx: &StandardReceiver,
+        samples: &[Complex],
+        start: usize,
+        info: Option<FrameInfo>,
+    ) -> Result<RxFrame> {
+        rx.decode(
+            &mut (),
+            FrameInput::new(samples, start, info),
+            &NoopRecorder,
         )
     }
 
@@ -441,7 +439,7 @@ mod tests {
         let payload = random_payload(200, 1);
         for mcs in Mcs::all_80211ag() {
             let frame = tx.build_frame(&payload, mcs, 0x5D).unwrap();
-            let decoded = rx.decode_frame(&frame.samples, 0, None).unwrap();
+            let decoded = decode(&rx, &frame.samples, 0, None).unwrap();
             assert!(decoded.crc_ok, "{}", mcs.label());
             assert_eq!(
                 decoded.payload.as_deref(),
@@ -464,8 +462,8 @@ mod tests {
             mcs,
             psdu_len: payload.len() + 4,
         };
-        let a = rx.decode_frame(&frame.samples, 0, Some(info)).unwrap();
-        let b = rx.decode_frame(&frame.samples, 0, None).unwrap();
+        let a = decode(&rx, &frame.samples, 0, Some(info)).unwrap();
+        let b = decode(&rx, &frame.samples, 0, None).unwrap();
         assert!(a.crc_ok && b.crc_ok);
         assert_eq!(a.psdu, b.psdu);
     }
@@ -480,7 +478,7 @@ mod tests {
             let frame = tx.build_frame(&payload, mcs, 0x45).unwrap();
             let mut noisy = frame.samples.clone();
             chan.add_noise_snr(&mut rng, &mut noisy, 35.0).unwrap();
-            let decoded = rx.decode_frame(&noisy, 0, None).unwrap();
+            let decoded = decode(&rx, &noisy, 0, None).unwrap();
             assert!(decoded.crc_ok, "{}", mcs.label());
             assert_eq!(decoded.payload.as_deref(), Some(&payload[..]));
         }
@@ -499,7 +497,7 @@ mod tests {
             let chan = MultipathChannel::realize(&pdp, FadingKind::Rayleigh, &mut rng);
             let frame = tx.build_frame(&payload, mcs, 0x11).unwrap();
             let faded = chan.apply(&frame.samples);
-            let decoded = rx.decode_frame(&faded, 0, None).unwrap();
+            let decoded = decode(&rx, &faded, 0, None).unwrap();
             if decoded.crc_ok {
                 successes += 1;
             }
@@ -523,7 +521,7 @@ mod tests {
             mcs,
             psdu_len: payload.len() + 4,
         };
-        let decoded = rx.decode_frame(&noisy, 0, Some(info)).unwrap();
+        let decoded = decode(&rx, &noisy, 0, Some(info)).unwrap();
         assert!(!decoded.crc_ok);
         assert!(decoded.payload.is_none());
     }
@@ -536,7 +534,7 @@ mod tests {
         let frame = tx.build_frame(&payload, mcs, 0x33).unwrap();
         let mut padded = vec![Complex::zero(); 500];
         padded.extend_from_slice(&frame.samples);
-        let decoded = rx.decode_frame(&padded, 500, None).unwrap();
+        let decoded = decode(&rx, &padded, 500, None).unwrap();
         assert!(decoded.crc_ok);
         assert_eq!(decoded.payload.as_deref(), Some(&payload[..]));
     }
@@ -548,10 +546,10 @@ mod tests {
         let mcs = Mcs::new(Modulation::Qpsk, CodeRate::Half);
         let frame = tx.build_frame(&payload, mcs, 0x33).unwrap();
         let short = &frame.samples[..400];
-        assert!(rx.decode_frame(short, 0, None).is_err());
+        assert!(decode(&rx, short, 0, None).is_err());
         // Enough for SIGNAL but not for all data symbols.
         let partial = &frame.samples[..600];
-        assert!(rx.decode_frame(partial, 0, None).is_err());
+        assert!(decode(&rx, partial, 0, None).is_err());
     }
 
     #[test]
@@ -570,8 +568,8 @@ mod tests {
         chan.add_noise_snr(&mut rng, &mut low_noise, 30.0).unwrap();
         let mut high_noise = frame.samples.clone();
         chan.add_noise_snr(&mut rng, &mut high_noise, 10.0).unwrap();
-        let a = rx.decode_frame(&low_noise, 0, Some(info)).unwrap();
-        let b = rx.decode_frame(&high_noise, 0, Some(info)).unwrap();
+        let a = decode(&rx, &low_noise, 0, Some(info)).unwrap();
+        let b = decode(&rx, &high_noise, 0, Some(info)).unwrap();
         let evm_low = evm_db(&flatten_symbols(&a.equalized_symbols), mcs.modulation);
         let evm_high = evm_db(&flatten_symbols(&b.equalized_symbols), mcs.modulation);
         assert!(evm_low < evm_high - 5.0, "low {evm_low} high {evm_high}");
@@ -615,11 +613,16 @@ mod tests {
         let frame = tx.build_frame(&payload, mcs, 0x5D).unwrap();
         let mut stream = rx.new_stream(ModelPersistence::Rolling);
         rx.begin_frame(&mut stream);
-        let via_trait =
-            FrameReceiver::decode_stream(&rx, &mut stream, &frame.samples, 0, None).unwrap();
-        let direct = rx.decode_frame(&frame.samples, 0, None).unwrap();
-        assert_eq!(via_trait.psdu, direct.psdu);
-        assert!(via_trait.crc_ok);
+        let via_stream = rx
+            .decode(
+                &mut stream,
+                FrameInput::new(&frame.samples, 0, None),
+                &NoopRecorder,
+            )
+            .unwrap();
+        let direct = decode(&rx, &frame.samples, 0, None).unwrap();
+        assert_eq!(via_stream.psdu, direct.psdu);
+        assert!(via_stream.crc_ok);
         assert_eq!(FrameReceiver::params(&rx).fft_size, 64);
         assert_eq!(ModelPersistence::PerFrame.label(), "PerFrame");
         assert_eq!(ModelPersistence::Rolling.label(), "Rolling");

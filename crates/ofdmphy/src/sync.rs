@@ -448,7 +448,9 @@ mod tests {
         let result = sync.detect(&capture).unwrap().expect("frame detected");
         sync.correct_cfo(&mut capture, result.cfo_hz);
         // Allow a small residual timing error by decoding at the estimated start.
-        let decoded = rx.decode_frame(&capture, result.frame_start, None);
+        use crate::rx::{FrameInput, FrameReceiver};
+        let input = FrameInput::new(&capture, result.frame_start, None);
+        let decoded = rx.decode(&mut (), input, &obs::NoopRecorder);
         // With CFO corrected the SIGNAL field should parse; CRC may still fail if the
         // timing estimate is at the edge of the CP, so only require successful parsing.
         assert!(decoded.is_ok());

@@ -514,9 +514,6 @@ pub struct GridKde2d {
     n_p: usize,
     /// Log densities, row-major: `values[ia * n_p + ip]`.
     values: Vec<f64>,
-    /// `f32` copy of `values` for the reduced-precision query kernel
-    /// ([`log_eval_batch_f32`](Self::log_eval_batch_f32)).
-    values_f32: Vec<f32>,
     bw_a: f64,
     bw_p: f64,
     margin: f64,
@@ -615,7 +612,6 @@ impl GridKde2d {
                 };
             }
         }
-        let values_f32 = values.iter().map(|&v| v as f32).collect();
         Ok(GridKde2d {
             a_lo,
             a_step,
@@ -624,7 +620,6 @@ impl GridKde2d {
             p_step,
             n_p,
             values,
-            values_f32,
             bw_a,
             bw_p,
             margin,
@@ -712,57 +707,6 @@ impl GridKde2d {
             *o = interior - (0.5 * da * da + self.margin * da) - (0.5 * dp * dp + self.margin * dp);
         }
     }
-
-    /// Reduced-precision variant of [`log_eval_batch`](Self::log_eval_batch): the
-    /// clamp, bilinear interpolation and tail continuation run in `f32` against the
-    /// `f32` copy of the value table (`KernelPrecision::F32`). The f64 path remains
-    /// the reference; tolerance and decision-equivalence against it are pinned by
-    /// the `simd_equivalence` test suites.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query slices and `out` have different lengths.
-    pub fn log_eval_batch_f32(&self, amplitudes: &[f64], phases: &[f64], out: &mut [f64]) {
-        assert_eq!(
-            amplitudes.len(),
-            phases.len(),
-            "query planes must have equal lengths"
-        );
-        assert_eq!(
-            amplitudes.len(),
-            out.len(),
-            "output must match the query count"
-        );
-        let a_lo = self.a_lo as f32;
-        let p_lo = self.p_lo as f32;
-        let a_step = self.a_step as f32;
-        let p_step = self.p_step as f32;
-        let a_hi = a_lo + a_step * (self.n_a - 1) as f32;
-        let p_hi = p_lo + p_step * (self.n_p - 1) as f32;
-        let bw_a = self.bw_a as f32;
-        let bw_p = self.bw_p as f32;
-        let margin = self.margin as f32;
-        for ((&aq, &pq), o) in amplitudes.iter().zip(phases).zip(out.iter_mut()) {
-            let a = aq as f32;
-            let p = pq as f32;
-            let (ca, da) = clamp_axis_f32(a, a_lo, a_hi, bw_a);
-            let (cp, dp) = clamp_axis_f32(p, p_lo, p_hi, bw_p);
-            let ta = (ca - a_lo) / a_step;
-            let tp = (cp - p_lo) / p_step;
-            let ia = (ta as usize).min(self.n_a - 2);
-            let ip = (tp as usize).min(self.n_p - 2);
-            let fa = (ta - ia as f32).clamp(0.0, 1.0);
-            let fp = (tp - ip as f32).clamp(0.0, 1.0);
-            let v00 = self.values_f32[ia * self.n_p + ip];
-            let v01 = self.values_f32[ia * self.n_p + ip + 1];
-            let v10 = self.values_f32[(ia + 1) * self.n_p + ip];
-            let v11 = self.values_f32[(ia + 1) * self.n_p + ip + 1];
-            let v0 = v00 + (v01 - v00) * fp;
-            let v1 = v10 + (v11 - v10) * fp;
-            let interior = v0 + (v1 - v0) * fa;
-            *o = (interior - (0.5 * da * da + margin * da) - (0.5 * dp * dp + margin * dp)) as f64;
-        }
-    }
 }
 
 /// Grid extent of one axis: the sample range padded by `margin` bandwidths, clamped
@@ -822,17 +766,6 @@ fn axis_exponents(lo: f64, step: f64, n_nodes: usize, samples: &[f64], bw: f64) 
 /// Clamps `x` into `[lo, hi]`, returning the clamped coordinate and the overshoot in
 /// bandwidth units (0 when inside).
 fn clamp_axis(x: f64, lo: f64, hi: f64, bw: f64) -> (f64, f64) {
-    if x < lo {
-        (lo, (lo - x) / bw)
-    } else if x > hi {
-        (hi, (x - hi) / bw)
-    } else {
-        (x, 0.0)
-    }
-}
-
-/// [`clamp_axis`] in `f32`, for the reduced-precision grid query kernel.
-fn clamp_axis_f32(x: f32, lo: f32, hi: f32, bw: f32) -> (f32, f32) {
     if x < lo {
         (lo, (lo - x) / bw)
     } else if x > hi {
@@ -1161,30 +1094,6 @@ mod tests {
         for q in 0..5 {
             let want = grid.log_eval(amps[q], phases[q]);
             assert_eq!(out[q].to_bits(), want.to_bits(), "query {q}");
-        }
-    }
-
-    #[test]
-    fn grid_kde_f32_batch_tracks_f64_within_budget() {
-        let samples_a: Vec<f64> = (0..20).map(|i| 0.1 + 0.02 * i as f64).collect();
-        let samples_p: Vec<f64> = (0..20).map(|i| 0.3 * ((i * 5) % 11) as f64 - 1.0).collect();
-        let grid =
-            GridKde2d::from_axes(&samples_a, &samples_p, 0.1, 0.4, &GridSpec::default()).unwrap();
-        let amps = [0.15, 0.3, 0.05, 1.2, 4.0];
-        let phases = [0.2, -0.9, 1.4, 0.0, -2.0];
-        let mut f64_out = [0.0; 5];
-        let mut f32_out = [0.0; 5];
-        grid.log_eval_batch(&amps, &phases, &mut f64_out);
-        grid.log_eval_batch_f32(&amps, &phases, &mut f32_out);
-        for q in 0..5 {
-            // Log-density values are O(1)–O(10) here; f32 gives ~7 significant
-            // digits, so absolute agreement to 1e-3 is a conservative budget.
-            assert!(
-                (f64_out[q] - f32_out[q]).abs() < 1e-3,
-                "query {q}: f64 {} vs f32 {}",
-                f64_out[q],
-                f32_out[q]
-            );
         }
     }
 

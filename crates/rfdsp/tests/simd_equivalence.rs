@@ -10,9 +10,7 @@
 //!   batch lookup, and the polynomial `exp` batch;
 //! * **≤ 1e-9** where the batch path substitutes the polynomial `exp` for libm in
 //!   the exact-KDE log-sum (operation order differs, so exact equality is not the
-//!   contract);
-//! * **≤ 1e-3** for the reduced-precision (`f32`) kernel variants, whose budget the
-//!   `KernelPrecision::F32` receiver configuration states.
+//!   contract).
 
 use proptest::prelude::*;
 use rfdsp::kde::{BandwidthSelector, GridKde2d, GridSpec, ProductKde2d};
@@ -104,32 +102,6 @@ proptest! {
         assert_bits_eq(&fast, &slow, "chained slides");
     }
 
-    /// The reduced-precision `slide_f32` tracks the f64 slide within the stated
-    /// budget over a full window's worth of chained updates.
-    #[test]
-    fn f32_slides_track_f64_within_budget(
-        size_idx in 0usize..3,
-        samples in complexes(40..150usize),
-    ) {
-        let n = [8usize, 32, 64][size_idx];
-        prop_assume!(samples.len() > n);
-        let dft = SlidingDft::new(n);
-        let mut reference = vec![Complex::zero(); n];
-        let mut re32 = vec![0.0f32; n];
-        let mut im32 = vec![0.0f32; n];
-        for t in 0..samples.len() - n {
-            dft.slide(&mut reference, samples[t], samples[t + n]).unwrap();
-            let out = (samples[t].re as f32, samples[t].im as f32);
-            let inc = (samples[t + n].re as f32, samples[t + n].im as f32);
-            dft.slide_f32(&mut re32, &mut im32, out, inc).unwrap();
-        }
-        for k in 0..n {
-            let err = (reference[k] - Complex::new(re32[k] as f64, im32[k] as f64)).norm();
-            let scale = 1.0 + reference[k].norm();
-            prop_assert!(err < 1e-3 * scale, "bin {k}: err {err}, value {}", reference[k]);
-        }
-    }
-
     /// The exact-KDE batch scorer agrees with per-query scalar evaluation to 1e-9
     /// for any query count (chunked body + remainder).
     #[test]
@@ -165,32 +137,6 @@ proptest! {
         for ((a, p), got) in queries.iter().zip(&batch) {
             let want = grid.log_eval(*a, *p);
             prop_assert_eq!(got.to_bits(), want.to_bits(), "query ({}, {}): {} vs {}", a, p, got, want);
-        }
-    }
-
-    /// The f32 grid lookup stays within the reduced-precision budget of the f64
-    /// lookup everywhere, including the clamped margins outside the grid.
-    #[test]
-    fn grid_kde_f32_batch_is_within_budget(
-        samples in prop::collection::vec((0.05f64..3.0, -3.1f64..3.1), 8..48),
-        queries in prop::collection::vec((0.0f64..4.0, -3.5f64..3.5), 1..23),
-    ) {
-        let kde = ProductKde2d::new(&samples, BandwidthSelector::LeaveOneOut).unwrap();
-        let grid = GridKde2d::build(&kde, &GridSpec::default()).unwrap();
-        let amps: Vec<f64> = queries.iter().map(|q| q.0).collect();
-        let phases: Vec<f64> = queries.iter().map(|q| q.1).collect();
-        let mut f64_out = vec![0.0; queries.len()];
-        let mut f32_out = vec![0.0; queries.len()];
-        grid.log_eval_batch(&amps, &phases, &mut f64_out);
-        grid.log_eval_batch_f32(&amps, &phases, &mut f32_out);
-        for (k, (want, got)) in f64_out.iter().zip(&f32_out).enumerate() {
-            let tol = 1e-3 * (1.0 + want.abs());
-            prop_assert!(
-                (got - want).abs() <= tol,
-                "query {k} ({}, {}): f32 {got} vs f64 {want}",
-                amps[k],
-                phases[k]
-            );
         }
     }
 

@@ -3,7 +3,7 @@
 //! Useful when calibrating new scenarios; the user-facing walkthroughs live in the
 //! workspace-level `examples/` directory.
 
-use cprecycle::segments::interference_power_per_segment;
+use cprecycle::segments::{interference_power_per_segment, SegmentScratch};
 use cprecycle_scenarios::interference::AciScenario;
 use ofdmphy::convcode::CodeRate;
 use ofdmphy::frame::{Mcs, Transmitter};
@@ -41,6 +41,7 @@ fn main() {
             &engine,
             &out.interference_only[data_start..data_start + sym_len],
             17,
+            &mut SegmentScratch::new(),
         )
         .unwrap();
         let sig_p = vic_bins[10].norm_sqr();

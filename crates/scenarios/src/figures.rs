@@ -25,10 +25,7 @@ use crate::report::{ExperimentResult, Series};
 use crate::Result;
 use cprecycle::interference_model::InterferenceModel;
 use cprecycle::oracle;
-use cprecycle::segments::{
-    extract_segments, extract_segments_with, interference_power_per_segment,
-    interference_power_per_segment_with, SegmentExtraction, SegmentScratch,
-};
+use cprecycle::segments::{extract_segments, interference_power_per_segment, SegmentScratch};
 use cprecycle::{CpRecycleConfig, DecisionStage, ModelBackend};
 use cprecycle_engine::{CampaignConfig, CampaignResult};
 use ofdmphy::chanest::ChannelEstimate;
@@ -575,11 +572,10 @@ pub fn fig4a(scale: &FigureScale) -> Result<ExperimentResult> {
     let mut scratch = SegmentScratch::new();
     for s in 0..num_symbols {
         let start = data_start + s * sym_len;
-        let powers = interference_power_per_segment_with(
+        let powers = interference_power_per_segment(
             &engine,
             &output.interference_only[start..start + sym_len],
             17,
-            SegmentExtraction::Sliding,
             &mut scratch,
         )?;
         let selection = oracle::select_best_segments(&powers);
@@ -621,6 +617,7 @@ pub fn fig4b(scale: &FigureScale) -> Result<ExperimentResult> {
             &engine,
             &output.interference_only[data_start..data_start + sym_len],
             17,
+            &mut SegmentScratch::new(),
         )?;
         // A data subcarrier a few bins inside the band edge facing the interferer: the
         // outermost bin is saturated by direct leakage in every window, the variation
@@ -661,6 +658,7 @@ pub fn fig4c(scale: &FigureScale) -> Result<ExperimentResult> {
         &output.received[data_start..data_start + sym_len],
         &estimate,
         5,
+        &mut SegmentScratch::new(),
     )?;
     let data_bins = params.data_bins();
     let bin = data_bins[40];
@@ -772,20 +770,18 @@ pub fn fig6b(scale: &FigureScale) -> Result<ExperimentResult> {
         let c = params.cp_len;
         let f = params.fft_size;
         let mut scratch = SegmentScratch::new();
-        let seg1 = extract_segments_with(
+        let seg1 = extract_segments(
             &engine,
             &output.received[ltf_start + c..ltf_start + c + sym_len],
             &estimate,
             16,
-            SegmentExtraction::Sliding,
             &mut scratch,
         )?;
-        let seg2 = extract_segments_with(
+        let seg2 = extract_segments(
             &engine,
             &output.received[ltf_start + c + f..ltf_start + c + f + sym_len],
             &estimate,
             16,
-            SegmentExtraction::Sliding,
             &mut scratch,
         )?;
         let model = InterferenceModel::train(
@@ -806,12 +802,11 @@ pub fn fig6b(scale: &FigureScale) -> Result<ExperimentResult> {
             .min(if scale.coarse { 6 } else { 20 });
         for s in 0..symbols {
             let start = data_start + s * sym_len;
-            let segments = extract_segments_with(
+            let segments = extract_segments(
                 &engine,
                 &output.received[start..start + sym_len],
                 &estimate,
                 16,
-                SegmentExtraction::Sliding,
                 &mut scratch,
             )?;
             let tx_value = frame.data_subcarrier_values[s][bin_col];

@@ -289,7 +289,8 @@ impl CciScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ofdmphy::rx::{FrameInfo, StandardReceiver};
+    use obs::NoopRecorder;
+    use ofdmphy::rx::{FrameInfo, FrameInput, FrameReceiver, StandardReceiver};
     use rand::SeedableRng;
 
     fn victim() -> (OfdmParams, ofdmphy::frame::TxFrame, Mcs, Vec<u8>) {
@@ -339,7 +340,13 @@ mod tests {
             mcs,
             psdu_len: payload.len() + 4,
         };
-        let decoded = rx.decode_frame(&out.received, 0, Some(info)).unwrap();
+        let decoded = rx
+            .decode(
+                &mut (),
+                FrameInput::new(&out.received, 0, Some(info)),
+                &NoopRecorder,
+            )
+            .unwrap();
         assert!(decoded.crc_ok);
     }
 
@@ -360,7 +367,13 @@ mod tests {
             mcs,
             psdu_len: payload.len() + 4,
         };
-        let decoded = rx.decode_frame(&out.received, 0, Some(info)).unwrap();
+        let decoded = rx
+            .decode(
+                &mut (),
+                FrameInput::new(&out.received, 0, Some(info)),
+                &NoopRecorder,
+            )
+            .unwrap();
         assert!(
             !decoded.crc_ok,
             "a -20 dB adjacent interferer with no guard band should kill the packet"

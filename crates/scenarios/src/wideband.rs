@@ -53,11 +53,12 @@ pub fn shift_by_hz(x: &[Complex], offset_hz: f64, sample_rate_hz: f64) -> Vec<Co
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::NoopRecorder;
     use ofdmphy::convcode::CodeRate;
     use ofdmphy::frame::{Mcs, Transmitter};
     use ofdmphy::modulation::Modulation;
     use ofdmphy::params::OfdmParams;
-    use ofdmphy::rx::{FrameInfo, StandardReceiver};
+    use ofdmphy::rx::{FrameInfo, FrameInput, FrameReceiver, StandardReceiver};
     use rfdsp::power::{signal_power, welch_psd};
 
     #[test]
@@ -87,7 +88,13 @@ mod tests {
                 mcs,
                 psdu_len: payload.len() + 4,
             };
-            let decoded = rx.decode_frame(&narrow, 0, Some(info)).unwrap();
+            let decoded = rx
+                .decode(
+                    &mut (),
+                    FrameInput::new(&narrow, 0, Some(info)),
+                    &NoopRecorder,
+                )
+                .unwrap();
             assert!(decoded.crc_ok, "factor {factor}");
             assert_eq!(decoded.payload.as_deref(), Some(&payload[..]));
         }

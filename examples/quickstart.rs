@@ -9,8 +9,10 @@
 //! Set `CPRECYCLE_METRICS=/path/to/metrics.json` to also dump the session's metrics
 //! snapshot (counters plus per-stage decode timing) as cpjson.
 
-use cprecycle_repro::cprecycle::{CpRecycleConfig, CpRecycleReceiver, RxEvent, RxSession};
-use cprecycle_repro::obs::InMemoryRecorder;
+use cprecycle_repro::cprecycle::{
+    CpRecycleConfig, CpRecycleReceiver, FrameInput, FrameReceiver, RxEvent, RxSession,
+};
+use cprecycle_repro::obs::{InMemoryRecorder, NoopRecorder};
 use cprecycle_repro::ofdmphy::convcode::CodeRate;
 use cprecycle_repro::ofdmphy::frame::{Mcs, Transmitter};
 use cprecycle_repro::ofdmphy::modulation::Modulation;
@@ -78,7 +80,11 @@ fn main() {
 
     // The batch standard receiver on the same capture, for comparison.
     let standard = StandardReceiver::new(params);
-    match standard.decode_frame(&captured, 300, None) {
+    match standard.decode(
+        &mut (),
+        FrameInput::new(&captured, 300, None),
+        &NoopRecorder,
+    ) {
         Ok(decoded) => report.note(format!(
             "Standard receiver:  CRC {}, payload: {:?}",
             if decoded.crc_ok { "OK" } else { "FAILED" },

@@ -1,16 +1,31 @@
 //! Integration tests spanning the whole workspace: transmitter → channel simulator →
 //! interference scenario → receivers → bit pipeline.
 
-use cprecycle_repro::cprecycle::{CpRecycleConfig, CpRecycleReceiver};
+use cprecycle_repro::cprecycle::{
+    CpRecycleConfig, CpRecycleReceiver, FrameInput, FrameReceiver, ModelPersistence,
+};
+use cprecycle_repro::obs::NoopRecorder;
 use cprecycle_repro::ofdmphy::convcode::CodeRate;
 use cprecycle_repro::ofdmphy::frame::{Mcs, Transmitter};
 use cprecycle_repro::ofdmphy::modulation::Modulation;
 use cprecycle_repro::ofdmphy::params::OfdmParams;
-use cprecycle_repro::ofdmphy::rx::{FrameInfo, StandardReceiver};
+use cprecycle_repro::ofdmphy::rx::{FrameInfo, RxFrame, StandardReceiver};
 use cprecycle_repro::ofdmphy::sync::Synchronizer;
 use cprecycle_repro::wirelesschan::awgn::AwgnChannel;
 use cprecycle_repro::wirelesschan::multipath::{FadingKind, MultipathChannel, PowerDelayProfile};
 use rand::{Rng, SeedableRng};
+
+/// Decodes `frame` on a fresh `PerFrame` stream — the batch call.
+fn decode_fresh<R: FrameReceiver>(
+    rx: &R,
+    frame: FrameInput<'_>,
+) -> cprecycle_repro::ofdmphy::Result<RxFrame> {
+    rx.decode(
+        &mut rx.new_stream(ModelPersistence::PerFrame),
+        frame,
+        &NoopRecorder,
+    )
+}
 
 fn payload(n: usize, seed: u64) -> Vec<u8> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -42,7 +57,8 @@ fn full_link_through_multipath_awgn_and_sync() {
         awgn.add_noise_snr(&mut rng, &mut capture, 28.0).unwrap();
 
         if let Some(found) = sync.detect(&capture).unwrap() {
-            if let Ok(decoded) = rx.decode_frame(&capture, found.frame_start, None) {
+            let input = FrameInput::new(&capture, found.frame_start, None);
+            if let Ok(decoded) = decode_fresh(&rx, input) {
                 if decoded.crc_ok && decoded.payload.as_deref() == Some(&data[..]) {
                     successes += 1;
                 }
@@ -75,8 +91,9 @@ fn cprecycle_matches_standard_receiver_in_benign_conditions() {
             mcs,
             psdu_len: data.len() + 4,
         };
-        let a = standard.decode_frame(&noisy, 0, Some(info)).unwrap();
-        let b = recycler.decode_frame(&noisy, 0, Some(info)).unwrap();
+        let input = FrameInput::new(&noisy, 0, Some(info));
+        let a = decode_fresh(&standard, input).unwrap();
+        let b = decode_fresh(&recycler, input).unwrap();
         assert!(a.crc_ok, "standard fails at 30 dB SNR for {}", mcs.label());
         assert!(b.crc_ok, "CPRecycle fails at 30 dB SNR for {}", mcs.label());
         assert_eq!(a.psdu, b.psdu);
@@ -119,16 +136,11 @@ fn isi_free_detection_feeds_the_receiver_configuration() {
         .build();
     let rx = CpRecycleReceiver::new(params, config);
     assert!(rx.effective_segments() <= estimate.num_segments());
-    let decoded = rx
-        .decode_frame(
-            &received,
-            0,
-            Some(FrameInfo {
-                mcs,
-                psdu_len: data.len() + 4,
-            }),
-        )
-        .unwrap();
+    let info = FrameInfo {
+        mcs,
+        psdu_len: data.len() + 4,
+    };
+    let decoded = decode_fresh(&rx, FrameInput::new(&received, 0, Some(info))).unwrap();
     assert!(decoded.crc_ok);
     assert_eq!(decoded.payload.as_deref(), Some(&data[..]));
 }

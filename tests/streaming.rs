@@ -3,9 +3,10 @@
 //! the point `tests/reproduction.rs` pins for the model backends).
 
 use cprecycle_repro::cprecycle::{
-    CpRecycleConfig, CpRecycleReceiver, FrameReceiver, ModelPersistence,
+    CpRecycleConfig, CpRecycleReceiver, FrameInput, FrameReceiver, ModelPersistence,
 };
 use cprecycle_repro::engine::{CampaignConfig, RunOptions};
+use cprecycle_repro::obs::NoopRecorder;
 use cprecycle_repro::ofdmphy::convcode::CodeRate;
 use cprecycle_repro::ofdmphy::frame::{Mcs, Transmitter};
 use cprecycle_repro::ofdmphy::modulation::Modulation;
@@ -51,14 +52,11 @@ fn rolling_persistence_matches_per_frame_at_the_fig14_op_point() {
             mcs,
             psdu_len: payload.len() + 4,
         };
+        let input = FrameInput::new(&output.received, 0, Some(info));
         rx.begin_frame(&mut rolling);
-        let r = rx
-            .decode_frame_session(&output.received, 0, Some(info), None, &mut rolling)
-            .unwrap();
+        let r = rx.decode(&mut rolling, input, &NoopRecorder).unwrap();
         rx.begin_frame(&mut per_frame);
-        let p = rx
-            .decode_frame_session(&output.received, 0, Some(info), None, &mut per_frame)
-            .unwrap();
+        let p = rx.decode(&mut per_frame, input, &NoopRecorder).unwrap();
         rolling_ok += r.crc_ok as usize;
         per_frame_ok += p.crc_ok as usize;
     }
