@@ -234,7 +234,8 @@ fn bin_bandwidths(
 #[derive(Debug, Clone, Default)]
 pub struct ExactKdeEstimator {
     kdes: Vec<Option<ProductKde2d>>,
-    /// Bandwidth-selection sort scratch, reused across bins and refits.
+    /// Bandwidth-selection scratch (sort and leave-one-out row sums), reused across
+    /// bins and refits.
     scratch: Vec<f64>,
 }
 

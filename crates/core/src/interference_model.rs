@@ -22,6 +22,7 @@ use crate::estimator::{BinSamples, EstimatorState, InterferenceEstimator, ModelB
 use crate::segments::SymbolSegments;
 use crate::Result;
 use ofdmphy::ofdm::OfdmEngine;
+use ofdmphy::params::SubcarrierRole;
 use ofdmphy::PhyError;
 use rfdsp::kde::ProductKde2d;
 use rfdsp::Complex;
@@ -162,7 +163,10 @@ impl InterferenceModel {
                 actual: reference.len(),
             });
         }
-        for bin in engine.params().occupied_bins() {
+        // The occupied bins, filtered in place: `OfdmParams::occupied_bins` collects
+        // a fresh `Vec` per call, which would be a per-preamble temporary here.
+        let roles = &engine.params().roles;
+        for bin in (0..fft_size).filter(|&k| roles[k] != SubcarrierRole::Null) {
             if reference[bin].norm_sqr() == 0.0 {
                 continue;
             }

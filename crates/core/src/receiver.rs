@@ -1141,6 +1141,43 @@ mod tests {
     }
 
     #[test]
+    fn nan_in_the_preamble_is_an_error_and_the_stream_recovers() {
+        // One NaN inside the LTF reaches bandwidth selection through the model's
+        // training segments. Decoding used to panic there ("NaN in bandwidth
+        // input"); it must fail the frame with an error and leave the stream able
+        // to decode the next, clean frame.
+        let (tx, rx, _) = setup();
+        let mcs = Mcs::paper_set()[1];
+        let payload = random_payload(60, 17);
+        let frame = tx.build_frame(&payload, mcs, 0x5D).unwrap();
+        let mut corrupted = frame.samples.clone();
+        corrupted[ofdmphy::preamble::ltf_start_offset(rx.params()) + 40] =
+            Complex::new(f64::NAN, 0.0);
+
+        let mut stream = rx.new_stream(ModelPersistence::PerFrame);
+        rx.begin_frame(&mut stream);
+        let err = rx
+            .decode(
+                &mut stream,
+                FrameInput::new(&corrupted, 0, None),
+                &NoopRecorder,
+            )
+            .unwrap_err();
+        assert!(matches!(err, PhyError::Dsp(_)), "{err}");
+
+        rx.begin_frame(&mut stream);
+        let clean = rx
+            .decode(
+                &mut stream,
+                FrameInput::new(&frame.samples, 0, None),
+                &NoopRecorder,
+            )
+            .unwrap();
+        assert!(clean.crc_ok);
+        assert_eq!(clean.payload.as_deref(), Some(&payload[..]));
+    }
+
+    #[test]
     fn oracle_stage_beats_the_standard_stage_under_async_interference() {
         // The Fig. 5 ordering at subcarrier granularity, now as two decision stages of
         // the same receiver: with the genie picking the least-interfered segment per

@@ -9,8 +9,11 @@
 //! scratch), so the counts pinned here would jump by at least two per occupied bin
 //! if the temporaries ever came back.
 //!
-//! The test binary installs a counting global allocator; the counts are process-wide,
-//! so each measurement runs the workload after a warm-up of the same shape.
+//! The test binary installs a counting global allocator. Counts are per thread: the
+//! test harness allocates on its own threads (spawning the next test, recording a
+//! result) at moments no lock here controls, and a process-wide count picked those up
+//! whenever they overlapped a measured region. Each measurement runs the workload
+//! after a warm-up of the same shape.
 
 use cprecycle::segments::SymbolSegments;
 use cprecycle::{CpRecycleConfig, InterferenceModel};
@@ -21,21 +24,30 @@ use rand::{Rng, SeedableRng};
 use rfdsp::kde::{BandwidthSelector, ProductKde2d};
 use rfdsp::Complex;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap allocations (including reallocations) made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the calling thread. `try_with` because the allocator
+/// also runs while a thread's locals are being torn down.
+fn count() {
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
 
 struct CountingAllocator;
 
 // The test binary only counts; all real work is delegated to the system allocator.
 // SAFETY: every method below delegates the actual (de)allocation to `System`
 // verbatim — same layout, same pointer — so `System`'s GlobalAlloc guarantees
-// carry over; the only addition is a Relaxed counter bump with no effect on
+// carry over; the only addition is a thread-local counter bump with no effect on
 // memory management.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: forwarded to `System` with the caller's layout unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -46,13 +58,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: forwarded to `System` with the caller's arguments unchanged.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
     // SAFETY: forwarded to `System` with the caller's layout unchanged.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(layout)
     }
 }
@@ -60,13 +72,10 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
-
-/// The counter is process-wide, so concurrently running tests would perturb each
-/// other's measurements; every test holds this for its measured region.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[test]
 fn viterbi_decode_is_allocation_free_after_warmup() {
@@ -79,7 +88,6 @@ fn viterbi_decode_is_allocation_free_after_warmup() {
     use ofdmphy::convcode::{encode, CodeRate};
     use ofdmphy::viterbi::ViterbiDecoder;
 
-    let _serial = SERIAL.lock().unwrap();
     let decoder = ViterbiDecoder::new();
     let mut data: Vec<u8> = (0..1200).map(|i| ((i * 7 + 3) % 5 > 2) as u8).collect();
     data.extend_from_slice(&[0; 6]);
@@ -105,7 +113,6 @@ fn kde_update_is_allocation_free_after_reserve() {
     // The satellite pin: `ProductKde2d::update` used to collect both axes into fresh
     // vectors to reselect bandwidths on every call. With split-axis storage, the
     // internal sort scratch and a `reserve`, an update allocates nothing at all.
-    let _serial = SERIAL.lock().unwrap();
     let samples: Vec<(f64, f64)> = (0..64)
         .map(|i| (0.1 + 0.01 * (i % 13) as f64, -1.0 + 0.07 * (i % 29) as f64))
         .collect();
@@ -131,7 +138,6 @@ fn model_update_does_not_collect_per_bin_temporaries() {
     // collects for selection plus a fresh sample copy per KDE, and two more inside
     // `ProductKde2d::update`), i.e. > 200 allocations per update; the bound here
     // fails if even half of that comes back.
-    let _serial = SERIAL.lock().unwrap();
     let e = OfdmEngine::new(OfdmParams::ieee80211ag());
     let reference = preamble::ltf_bins(e.params());
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);

@@ -54,9 +54,18 @@ pub fn silverman_bandwidth(samples: &[f64]) -> Result<f64> {
 /// [`silverman_bandwidth`] with a caller-owned sort scratch, so repeated selection
 /// (one call per subcarrier per refit) performs no allocation once the scratch has
 /// grown to the largest sample count.
+///
+/// Returns [`DspError::InvalidParameter`] if any sample is NaN or infinite: the
+/// samples come from received signals, and a non-finite one has no meaningful spread.
 pub fn silverman_bandwidth_scratch(samples: &[f64], scratch: &mut Vec<f64>) -> Result<f64> {
     if samples.is_empty() {
         return Err(DspError::EmptyInput);
+    }
+    if !samples.iter().all(|x| x.is_finite()) {
+        return Err(DspError::invalid(
+            "samples",
+            "bandwidth selection needs finite samples",
+        ));
     }
     if samples.len() == 1 {
         return Ok(1.0);
@@ -66,7 +75,7 @@ pub fn silverman_bandwidth_scratch(samples: &[f64], scratch: &mut Vec<f64>) -> R
     scratch.extend_from_slice(samples);
     // Unstable sort: in-place (a stable sort allocates a merge buffer, which would
     // defeat the scratch), and equal keys are interchangeable for percentiles.
-    scratch.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN in bandwidth input"));
+    scratch.sort_unstable_by(f64::total_cmp);
     let iqr = stats::iqr_of_sorted(scratch)?;
     let spread = if iqr > 0.0 {
         sigma.min(iqr / 1.34)
@@ -78,20 +87,34 @@ pub fn silverman_bandwidth_scratch(samples: &[f64], scratch: &mut Vec<f64>) -> R
     Ok(if bw > 1e-9 { bw } else { 1e-3 })
 }
 
-/// Leave-one-out log-likelihood of a univariate Gaussian KDE with bandwidth `bw`.
-fn loo_log_likelihood(samples: &[f64], bw: f64) -> f64 {
+/// The multiplicative grid of candidate bandwidths the leave-one-out search scores
+/// around the Silverman pilot bandwidth.
+pub const LOO_FACTORS: [f64; 9] = [0.25, 0.4, 0.6, 0.8, 1.0, 1.3, 1.7, 2.2, 3.0];
+
+/// Leave-one-out log-likelihood of a univariate Gaussian KDE for every candidate
+/// bandwidth `base·LOO_FACTORS[k]`, scored in one pass.
+///
+/// `ll[k] = Σᵢ ln(max(Σ_{j≠i} K((xᵢ − xⱼ)/B_k) / ((n−1)·B_k), 1e-300))`. The kernel
+/// row sums for all nine candidates come from one symmetric, lane-parallel sweep
+/// over the sample pairs ([`crate::simd::loo_kernel_rows`]), held in `scratch`
+/// (`9·n` values). Agreement with the scalar [`reference::loo_log_likelihood`]
+/// within `1e-9` relative is property-tested in `tests/loo_parity.rs`.
+///
+/// # Panics
+///
+/// Panics if `samples` has fewer than two elements.
+pub fn loo_log_likelihoods(samples: &[f64], base: f64, scratch: &mut Vec<f64>) -> [f64; 9] {
     let n = samples.len();
-    let mut ll = 0.0;
-    for i in 0..n {
-        let mut density = 0.0;
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
-            density += gaussian_kernel((samples[i] - samples[j]) / bw);
-        }
-        density /= ((n - 1) as f64) * bw;
-        ll += density.max(1e-300).ln();
+    assert!(n >= 2, "leave-one-out needs at least two samples");
+    let bws = LOO_FACTORS.map(|f| base * f);
+    let coeffs = bws.map(|bw| -0.5 / (bw * bw));
+    scratch.clear();
+    scratch.resize(LOO_FACTORS.len() * n, 0.0);
+    crate::simd::loo_kernel_rows(samples, &coeffs, scratch);
+    let mut ll = [0.0f64; 9];
+    for ((l, bw), rows) in ll.iter_mut().zip(bws).zip(scratch.chunks_exact(n)) {
+        let norm = 2.0 * std::f64::consts::PI * (n - 1) as f64 * bw;
+        *l = rows.iter().map(|r| (r / norm).max(1e-300).ln()).sum();
     }
     ll
 }
@@ -102,9 +125,12 @@ pub fn select_bandwidth(samples: &[f64], selector: BandwidthSelector) -> Result<
     select_bandwidth_scratch(samples, selector, &mut scratch)
 }
 
-/// [`select_bandwidth`] with a caller-owned sort scratch (see
-/// [`silverman_bandwidth_scratch`]): the allocation-free variant the per-subcarrier
-/// refit loop of the interference model uses.
+/// [`select_bandwidth`] with a caller-owned scratch: the allocation-free variant the
+/// per-subcarrier refit loop of the interference model uses. The scratch holds the
+/// Silverman sort (`n` values) and the leave-one-out row sums (`9·n` values, see
+/// [`loo_log_likelihoods`]).
+///
+/// Returns an error if any sample is non-finite (see [`silverman_bandwidth_scratch`]).
 pub fn select_bandwidth_scratch(
     samples: &[f64],
     selector: BandwidthSelector,
@@ -124,20 +150,65 @@ pub fn select_bandwidth_scratch(
             if samples.len() < 3 {
                 return Ok(base);
             }
-            // Multiplicative grid around the Silverman pilot bandwidth.
-            let factors = [0.25, 0.4, 0.6, 0.8, 1.0, 1.3, 1.7, 2.2, 3.0];
+            let ll = loo_log_likelihoods(samples, base, scratch);
+            // First strictly greater score wins, as in the scalar reference.
             let mut best = base;
             let mut best_ll = f64::NEG_INFINITY;
-            for f in factors {
-                let bw = base * f;
-                let ll = loo_log_likelihood(samples, bw);
-                if ll > best_ll {
-                    best_ll = ll;
-                    best = bw;
+            for (f, l) in LOO_FACTORS.into_iter().zip(ll) {
+                if l > best_ll {
+                    best_ll = l;
+                    best = base * f;
                 }
             }
             Ok(best)
         }
+    }
+}
+
+/// Scalar reference implementations kept as test oracles and bench baselines for
+/// the lane-parallel production paths above.
+pub mod reference {
+    use super::{gaussian_kernel, silverman_bandwidth, LOO_FACTORS};
+    use crate::Result;
+
+    /// Leave-one-out log-likelihood of a univariate Gaussian KDE with bandwidth
+    /// `bw`: both directions of every pair, one libm `exp` and one division each.
+    pub fn loo_log_likelihood(samples: &[f64], bw: f64) -> f64 {
+        let n = samples.len();
+        let mut ll = 0.0;
+        for i in 0..n {
+            let mut density = 0.0;
+            for j in 0..n {
+                if i == j {
+                    continue;
+                }
+                density += gaussian_kernel((samples[i] - samples[j]) / bw);
+            }
+            density /= ((n - 1) as f64) * bw;
+            ll += density.max(1e-300).ln();
+        }
+        ll
+    }
+
+    /// Leave-one-out bandwidth selection scored one candidate at a time with
+    /// [`loo_log_likelihood`]: the oracle for
+    /// [`super::BandwidthSelector::LeaveOneOut`].
+    pub fn select_loo_bandwidth(samples: &[f64]) -> Result<f64> {
+        let base = silverman_bandwidth(samples)?;
+        if samples.len() < 3 {
+            return Ok(base);
+        }
+        let mut best = base;
+        let mut best_ll = f64::NEG_INFINITY;
+        for f in LOO_FACTORS {
+            let bw = base * f;
+            let ll = loo_log_likelihood(samples, bw);
+            if ll > best_ll {
+                best_ll = ll;
+                best = bw;
+            }
+        }
+        Ok(best)
     }
 }
 
@@ -222,7 +293,8 @@ pub struct ProductKde2d {
     phases: Vec<f64>,
     bw_a: f64,
     bw_p: f64,
-    /// Sort scratch reused by bandwidth reselection in [`ProductKde2d::update`].
+    /// Bandwidth-selection scratch (Silverman sort, leave-one-out row sums) reused
+    /// by [`ProductKde2d::update`].
     scratch: Vec<f64>,
 }
 
@@ -235,7 +307,7 @@ impl ProductKde2d {
         }
         let amps: Vec<f64> = samples.iter().map(|s| s.0).collect();
         let phases: Vec<f64> = samples.iter().map(|s| s.1).collect();
-        let mut scratch = Vec::with_capacity(samples.len());
+        let mut scratch = Vec::with_capacity(LOO_FACTORS.len() * samples.len());
         let bw_a = select_bandwidth_scratch(&amps, selector, &mut scratch)?;
         let bw_p = select_bandwidth_scratch(&phases, selector, &mut scratch)?;
         Ok(ProductKde2d {
@@ -326,14 +398,15 @@ impl ProductKde2d {
 
     /// Pre-grows the sample and scratch buffers for `additional` further samples, so a
     /// subsequent [`ProductKde2d::update`] of at most that many samples allocates
-    /// nothing (pinned by the `model_alloc` regression test).
+    /// nothing (pinned by the `model_alloc` regression test). The scratch is sized
+    /// for the leave-one-out search's `9·n` row sums, the largest selector need.
     pub fn reserve(&mut self, additional: usize) {
         self.amps.reserve(additional);
         self.phases.reserve(additional);
         // `Vec::reserve(n)` guarantees capacity ≥ len + n, so size the request off
         // the scratch's *length* — subtracting its capacity would under-reserve
         // whenever capacity already exceeds length.
-        let total = self.amps.len() + additional;
+        let total = LOO_FACTORS.len() * (self.amps.len() + additional);
         self.scratch
             .reserve(total.saturating_sub(self.scratch.len()));
     }
@@ -444,7 +517,7 @@ impl ProductKde2d {
     /// density functions are constantly updated when subsequent preambles are received").
     ///
     /// Bandwidth reselection reads the stored axis vectors directly (with an internal
-    /// reusable sort scratch), so the call performs no allocation when the buffers
+    /// reusable scratch), so the call performs no allocation when the buffers
     /// have spare capacity (see [`ProductKde2d::reserve`]).
     pub fn update(
         &mut self,

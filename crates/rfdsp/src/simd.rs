@@ -233,6 +233,149 @@ unsafe fn kde_kernel_sum_avx2(
     kde_kernel_sum_inner(a, p, inv_a, inv_p, amps, phases)
 }
 
+/// Leave-one-out kernel row sums for `K` bandwidths in one sweep — the inner loop
+/// of the data-driven bandwidth search ([`crate::kde::loo_log_likelihoods`]).
+///
+/// On return `rows[k·n + i] = Σ_{j≠i} exp(coeffs[k]·(xᵢ − xⱼ)²)` for every
+/// candidate `k` and sample `i` (`n = samples.len()`); for a Gaussian kernel of
+/// bandwidth `B_k` the coefficient is `−1/(2·B_k²)`. The sweep visits each of the
+/// `n(n−1)/2` unordered pairs once, computes `d² = (xᵢ − xⱼ)²` once, and adds each
+/// factor's kernel value to both rows it belongs to. The `j` loop runs in
+/// `LANES`-wide chunks through [`crate::lanes::exp_approx`], and dispatches to an
+/// AVX2-compiled copy of the same safe Rust when the CPU supports it — no FMA, so
+/// both copies are **bit-identical** (property-tested in
+/// `tests/simd_equivalence.rs`).
+///
+/// # Panics
+///
+/// Panics if `rows.len() != K · samples.len()`.
+#[inline]
+pub fn loo_kernel_rows<const K: usize>(samples: &[f64], coeffs: &[f64; K], rows: &mut [f64]) {
+    assert_eq!(
+        rows.len(),
+        K * samples.len(),
+        "row sums must hold one row per coefficient"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: AVX2 presence was just verified at runtime.
+        #[allow(unsafe_code)]
+        unsafe {
+            loo_kernel_rows_avx2(samples, coeffs, rows)
+        };
+        return;
+    }
+    loo_kernel_rows_inner(samples, coeffs, rows);
+}
+
+/// The baseline-compiled copy of [`loo_kernel_rows`], callable directly so the
+/// equivalence tests can pin the non-AVX2 path on AVX2 machines.
+///
+/// # Panics
+///
+/// Panics if `rows.len() != K · samples.len()`.
+pub fn loo_kernel_rows_lanes<const K: usize>(samples: &[f64], coeffs: &[f64; K], rows: &mut [f64]) {
+    assert_eq!(
+        rows.len(),
+        K * samples.len(),
+        "row sums must hold one row per coefficient"
+    );
+    loo_kernel_rows_inner(samples, coeffs, rows);
+}
+
+/// The shared body of [`loo_kernel_rows`]. Row `i`'s own sums collect in lane
+/// accumulators (one `LANES`-wide array per coefficient) and land in `rows` once per
+/// row; the partner rows `j > i` take each chunk's values directly. The last,
+/// partial chunk of a row runs the same lane arithmetic with its unused lanes
+/// zeroed, so no pair takes a scalar path.
+#[inline(always)]
+fn loo_kernel_rows_inner<const K: usize>(samples: &[f64], coeffs: &[f64; K], rows: &mut [f64]) {
+    use crate::lanes::LANES;
+    let n = samples.len();
+    rows.fill(0.0);
+    for (i, &xi) in samples.iter().enumerate() {
+        let rest = &samples[i + 1..];
+        let main = rest.len() - rest.len() % LANES;
+        let mut acc = [[0.0f64; LANES]; K];
+        for (c, xc) in rest[..main].chunks_exact(LANES).enumerate() {
+            let e = loo_chunk(xi, xc.try_into().unwrap(), coeffs, LANES);
+            let j = i + 1 + c * LANES;
+            for (k, (acc_k, e_k)) in acc.iter_mut().zip(&e).enumerate() {
+                let row: &mut [f64; LANES] = (&mut rows[k * n + j..k * n + j + LANES])
+                    .try_into()
+                    .unwrap();
+                for l in 0..LANES {
+                    acc_k[l] += e_k[l];
+                    row[l] += e_k[l];
+                }
+            }
+        }
+        let tail = &rest[main..];
+        if !tail.is_empty() {
+            let mut xc = [xi; LANES];
+            xc[..tail.len()].copy_from_slice(tail);
+            let e = loo_chunk(xi, &xc, coeffs, tail.len());
+            let j = i + 1 + main;
+            for (k, (acc_k, e_k)) in acc.iter_mut().zip(&e).enumerate() {
+                for l in 0..LANES {
+                    acc_k[l] += e_k[l];
+                }
+                for (r, v) in rows[k * n + j..k * n + j + tail.len()].iter_mut().zip(e_k) {
+                    *r += v;
+                }
+            }
+        }
+        for (k, acc_k) in acc.iter().enumerate() {
+            rows[k * n + i] += acc_k.iter().sum::<f64>();
+        }
+    }
+}
+
+/// Kernel values `exp(coeffs[k]·(xi − xc[l])²)` of one lane chunk for every
+/// coefficient, with lanes `valid..` set to exactly zero.
+#[inline(always)]
+fn loo_chunk<const K: usize>(
+    xi: f64,
+    xc: &[f64; crate::lanes::LANES],
+    coeffs: &[f64; K],
+    valid: usize,
+) -> [[f64; crate::lanes::LANES]; K] {
+    use crate::lanes::{exp_approx, LANES};
+    let mut d2 = [0.0f64; LANES];
+    for l in 0..LANES {
+        let d = xi - xc[l];
+        d2[l] = d * d;
+    }
+    let mut e = [[0.0f64; LANES]; K];
+    for (e_k, &ck) in e.iter_mut().zip(coeffs) {
+        for l in 0..LANES {
+            let v = exp_approx(ck * d2[l]);
+            e_k[l] = if l < valid { v } else { 0.0 };
+        }
+    }
+    e
+}
+
+/// [`loo_kernel_rows_inner`] recompiled with AVX2 enabled — the autovectorizer
+/// given twice the register width, no manual intrinsics.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support at runtime
+/// (`is_x86_feature_detected!("avx2")`) before calling; [`loo_kernel_rows`] is
+/// the only caller and does exactly that. The body itself is the safe
+/// fallback, so there is no other obligation.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[target_feature(enable = "avx2")]
+unsafe fn loo_kernel_rows_avx2<const K: usize>(
+    samples: &[f64],
+    coeffs: &[f64; K],
+    rows: &mut [f64],
+) {
+    loo_kernel_rows_inner(samples, coeffs, rows);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,6 +440,43 @@ mod tests {
                 assert_eq!(got.to_bits(), want.to_bits(), "n={n} query=({a},{p})");
             }
         }
+    }
+
+    #[test]
+    fn loo_kernel_rows_match_the_pairwise_definition() {
+        let coeffs = [-0.5, -8.0, -200.0];
+        for n in [0usize, 1, 2, 3, 5, 8, 9, 13] {
+            let xs: Vec<f64> = (0..n).map(|j| 0.13 * (j % 7) as f64 - 0.2).collect();
+            let mut rows = vec![f64::NAN; coeffs.len() * n];
+            loo_kernel_rows(&xs, &coeffs, &mut rows);
+            let mut lanes = vec![0.0; coeffs.len() * n];
+            loo_kernel_rows_lanes(&xs, &coeffs, &mut lanes);
+            for (k, c) in coeffs.iter().enumerate() {
+                for i in 0..n {
+                    let want: f64 = (0..n)
+                        .filter(|&j| j != i)
+                        .map(|j| (c * (xs[i] - xs[j]) * (xs[i] - xs[j])).exp())
+                        .sum();
+                    let got = rows[k * n + i];
+                    assert!(
+                        (got - want).abs() <= 1e-12 * want.max(1.0),
+                        "n={n} k={k} i={i}"
+                    );
+                    assert_eq!(
+                        got.to_bits(),
+                        lanes[k * n + i].to_bits(),
+                        "n={n} k={k} i={i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one row per coefficient")]
+    fn loo_kernel_rows_rejects_a_short_row_buffer() {
+        let mut rows = [0.0; 5];
+        loo_kernel_rows(&[1.0, 2.0, 3.0], &[-1.0, -2.0], &mut rows);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! * **bit-for-bit** where the restructure preserves elementwise operation order —
 //!   the sliding-DFT update (both the autovectorized chunk path and the
 //!   runtime-dispatched AVX2 path, which deliberately avoids FMA), the grid-KDE
-//!   batch lookup, and the polynomial `exp` batch;
+//!   batch lookup, the polynomial `exp` batch, and the leave-one-out kernel row
+//!   sums (dispatched AVX2 copy against the baseline-compiled copy);
 //! * **≤ 1e-9** where the batch path substitutes the polynomial `exp` for libm in
 //!   the exact-KDE log-sum (operation order differs, so exact equality is not the
 //!   contract).
@@ -15,7 +16,7 @@
 use proptest::prelude::*;
 use rfdsp::kde::{BandwidthSelector, GridKde2d, GridSpec, ProductKde2d};
 use rfdsp::lanes::{exp_approx, exp_batch};
-use rfdsp::simd::{slide_update, slide_update_lanes};
+use rfdsp::simd::{loo_kernel_rows, loo_kernel_rows_lanes, slide_update, slide_update_lanes};
 use rfdsp::sliding::SlidingDft;
 use rfdsp::Complex;
 
@@ -137,6 +138,24 @@ proptest! {
         for ((a, p), got) in queries.iter().zip(&batch) {
             let want = grid.log_eval(*a, *p);
             prop_assert_eq!(got.to_bits(), want.to_bits(), "query ({}, {}): {} vs {}", a, p, got, want);
+        }
+    }
+
+    /// The leave-one-out row sums take the same arithmetic on both dispatch paths:
+    /// the AVX2-compiled copy (where the CPU has it) is bit-identical to the
+    /// baseline-compiled copy for every sample count, lane tail and bandwidth grid.
+    #[test]
+    fn dispatched_loo_kernel_rows_are_bit_identical(
+        samples in prop::collection::vec(-3.2f64..3.2, 0..80),
+        base in 0.002f64..2.0,
+    ) {
+        let coeffs = rfdsp::kde::LOO_FACTORS.map(|f| -0.5 / ((base * f) * (base * f)));
+        let mut fast = vec![0.0; coeffs.len() * samples.len()];
+        let mut slow = fast.clone();
+        loo_kernel_rows(&samples, &coeffs, &mut fast);
+        loo_kernel_rows_lanes(&samples, &coeffs, &mut slow);
+        for (r, (x, y)) in fast.iter().zip(&slow).enumerate() {
+            prop_assert_eq!(x.to_bits(), y.to_bits(), "row entry {}: {} vs {}", r, x, y);
         }
     }
 
