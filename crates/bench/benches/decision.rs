@@ -3,10 +3,11 @@
 //! Modulation × `P` — the scaling the paper's §6 discusses and the justification for
 //! the fixed sphere.
 //!
-//! `sphere_alloc` is the pre-refactor sphere path (per-call candidate `Vec` cloning
-//! `(Complex, Vec<u8>)` pairs out of `Modulation::constellation()`), kept as the
-//! before/after baseline for the allocation-free trait port; the measured speedups
-//! are recorded in the README "Performance" table.
+//! `sphere_alloc` is the pre-refactor sphere path (`cprecycle::sphere_ml::reference`:
+//! per-call candidate `Vec` cloning `(Complex, Vec<u8>)` pairs out of
+//! `Modulation::constellation()`), kept as the before/after baseline for the
+//! allocation-free trait port; the measured speedups are recorded in the README
+//! "Performance" table.
 
 use cprecycle::decision::{
     DecoderScratch, NaiveCentroidDecoder, OracleSegmentDecoder, StandardNearestDecoder,
@@ -14,13 +15,13 @@ use cprecycle::decision::{
 };
 use cprecycle::interference_model::InterferenceModel;
 use cprecycle::segments::{SegmentPowers, SymbolSegments};
+use cprecycle::sphere_ml::reference;
 use cprecycle::{CpRecycleConfig, FixedSphereMlDecoder};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ofdmphy::modulation::Modulation;
 use ofdmphy::ofdm::OfdmEngine;
 use ofdmphy::params::OfdmParams;
 use rand::{Rng, SeedableRng};
-use rfdsp::stats::centroid;
 use rfdsp::Complex;
 
 const RADIUS: f64 = 2.0;
@@ -78,48 +79,6 @@ fn symbol_segments(modulation: Modulation, p: usize, seed: u64) -> SymbolSegment
     SymbolSegments::from_rows(rows)
 }
 
-/// The pre-refactor sphere decode (candidate `Vec` with cloned bit vectors per bin),
-/// reproduced as the before/after baseline.
-fn sphere_alloc_decode_symbol(
-    model: &InterferenceModel,
-    constellation: &[(Complex, Vec<u8>)],
-    modulation: Modulation,
-    segments: &SymbolSegments,
-    bins: &[usize],
-) -> Vec<Complex> {
-    let radius = RADIUS * modulation.min_distance();
-    bins.iter()
-        .map(|&bin| {
-            let observations = segments.bin_observations(bin);
-            let center = centroid(observations).unwrap_or(Complex::zero());
-            let inside: Vec<(Complex, Vec<u8>)> = constellation
-                .iter()
-                .filter(|(p, _)| (*p - center).norm() <= radius)
-                .cloned()
-                .collect();
-            let candidates = if inside.is_empty() {
-                let (p, bits) = modulation.nearest_point(center);
-                vec![(p, bits)]
-            } else {
-                inside
-            };
-            let mut best = candidates[0].clone();
-            let mut best_score = f64::NEG_INFINITY;
-            for (point, bits) in candidates {
-                let score: f64 = observations
-                    .iter()
-                    .map(|obs| model.log_likelihood(bin, *obs, point))
-                    .sum();
-                if score > best_score {
-                    best_score = score;
-                    best = (point, bits);
-                }
-            }
-            best.0
-        })
-        .collect()
-}
-
 fn bench_decision(c: &mut Criterion) {
     let engine = OfdmEngine::new(OfdmParams::ieee80211ag());
     let data_bins = engine.params().data_bins();
@@ -153,13 +112,20 @@ fn bench_decision(c: &mut Criterion) {
                 &segments,
                 |b, segs| {
                     b.iter(|| {
-                        sphere_alloc_decode_symbol(
-                            &model,
-                            &constellation,
-                            modulation,
-                            segs,
-                            &data_bins,
-                        )
+                        data_bins
+                            .iter()
+                            .map(|&bin| {
+                                reference::decode_subcarrier(
+                                    &model,
+                                    &constellation,
+                                    modulation,
+                                    RADIUS,
+                                    bin,
+                                    segs.bin_observations(bin),
+                                )
+                                .0
+                            })
+                            .collect::<Vec<Complex>>()
                     });
                 },
             );

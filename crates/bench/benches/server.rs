@@ -21,7 +21,7 @@
 //! Besides the harness's `measured` records, `--json` gains two companion record
 //! kinds from this bench: `samples` (per-cell ingest size, so the checker can
 //! derive aggregate Msps) and `latency` (the server's aggregate push→decode
-//! p50/p95/p99 from its metrics snapshot). `check_server_bench` consumes all
+//! p50/p95/p99 from its metrics snapshot). `check_bench` consumes all
 //! three to gate the scaling trajectory.
 
 use cprecycle::{CpRecycleConfig, CpRecycleReceiver, RxServer, ServerConfig, SessionConfig};
@@ -40,7 +40,7 @@ use std::path::PathBuf;
 
 /// The `--json <path>` argument the criterion harness also honours: this bench
 /// appends its own companion records (per-cell ingest size, latency percentiles)
-/// next to the harness's `measured` records, so `check_server_bench` can derive
+/// next to the harness's `measured` records, so `check_bench` can derive
 /// aggregate Msps and gate the latency distribution from one file.
 fn json_path() -> Option<PathBuf> {
     let args: Vec<String> = std::env::args().collect();
@@ -172,7 +172,6 @@ fn bench_server(c: &mut Criterion) {
             let server: RxServer<StandardReceiver> = RxServer::new(ServerConfig {
                 threads,
                 queue_capacity: 64,
-                ..Default::default()
             });
             let handles: Vec<_> = (0..sessions)
                 .map(|_| {
@@ -218,7 +217,6 @@ fn bench_server(c: &mut Criterion) {
         let server: RxServer<CpRecycleReceiver> = RxServer::new(ServerConfig {
             threads,
             queue_capacity: 64,
-            ..Default::default()
         });
         let handles: Vec<_> = (0..sessions)
             .map(|_| {

@@ -8,6 +8,8 @@
 
 #![forbid(unsafe_code)]
 
+pub mod gate;
+
 use cprecycle_scenarios::figures::FigureScale;
 use cprecycle_scenarios::report::ExperimentResult;
 use cprecycle_scenarios::telemetry;

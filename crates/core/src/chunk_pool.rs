@@ -42,9 +42,9 @@ use cprecycle_engine::ring::MpmcRing;
 use cprecycle_engine::sync::atomic::{AtomicU64, Ordering};
 use rfdsp::Complex;
 
-/// Default capacity of the largest pooled buffer class, in samples. Sized for
-/// the chunk sizes the bench grid and scenarios use (≤ 4096); larger pushes fall
-/// back to exact one-shot allocations.
+/// Capacity of the largest pooled buffer class of the server's pool, in samples.
+/// Sized for the chunk sizes the bench grid and scenarios use (≤ 4096); larger
+/// pushes fall back to exact one-shot allocations.
 pub const DEFAULT_POOL_BUFFER_SAMPLES: usize = 4096;
 
 /// Smallest buffer class, in samples. Chunks below this still use a

@@ -1,7 +1,6 @@
 //! Configuration of the CPRecycle receiver.
 
 use crate::estimator::ModelBackend;
-use rfdsp::kde::BandwidthSelector;
 
 /// Which decoder runs the subcarrier-decision stage (paper §3–§4): the receiver
 /// pipeline — sync → extract → **decide** → bit pipeline — is identical for every
@@ -100,8 +99,21 @@ impl DecisionStage {
     }
 }
 
-/// Tuning knobs of the CPRecycle receiver (the paper's `B_a`, `B_φ`, `R` and `P`
-/// parameters from Algorithm 1, plus the bandwidth-selection strategy of §4.1).
+/// Floor on the amplitude-axis kernel bandwidth, in units of the unit-power
+/// constellation scale. Protects the model against degenerate densities when the
+/// preamble happens to be almost interference-free (all deviations ≈ 0): without a
+/// floor the KDE collapses to a spike and every data-symbol likelihood underflows.
+pub const MIN_BANDWIDTH_AMPLITUDE: f64 = 0.05;
+
+/// Floor on the phase-axis kernel bandwidth, in radians (see
+/// [`MIN_BANDWIDTH_AMPLITUDE`] for the rationale; the phase of a near-zero error
+/// vector is numerically meaningless, so an un-floored phase bandwidth is even more
+/// fragile).
+pub const MIN_BANDWIDTH_PHASE: f64 = 0.2;
+
+/// Tuning knobs of the CPRecycle receiver (the paper's `B_φ`, `R` and `P`
+/// parameters from Algorithm 1). The amplitude bandwidth `B_a` is always selected
+/// by leave-one-out cross-validation (§4.1), floored at [`MIN_BANDWIDTH_AMPLITUDE`].
 ///
 /// The struct is `#[non_exhaustive]`: fields get added as the receiver grows (the
 /// decision stage and the estimator backend both came late), and every addition
@@ -129,14 +141,9 @@ pub struct CpRecycleConfig {
     /// mitigation for computation (paper Fig. 14) and `1` degrades gracefully to the
     /// standard receiver.
     pub num_segments: usize,
-    /// Amplitude-axis kernel bandwidth `B_a`. `None` selects it from the preamble data
-    /// (Silverman / leave-one-out, depending on `data_driven_bandwidth`).
-    pub bandwidth_amplitude: Option<f64>,
-    /// Phase-axis kernel bandwidth `B_φ`. `None` selects it from the preamble data.
+    /// Phase-axis kernel bandwidth `B_φ`. `None` selects it from the preamble data by
+    /// leave-one-out cross-validation, floored at [`MIN_BANDWIDTH_PHASE`].
     pub bandwidth_phase: Option<f64>,
-    /// Use the data-driven (leave-one-out) bandwidth selection the paper recommends when
-    /// at least two preambles are available; otherwise Silverman's rule is used.
-    pub data_driven_bandwidth: bool,
     /// The subcarrier-decision stage the receiver dispatches per symbol: the paper's
     /// fixed-sphere ML decoder (with its radius `R`), the naive Eq. 3 decoder, the
     /// genie-aided Oracle or the conventional standard-window decision.
@@ -145,17 +152,6 @@ pub struct CpRecycleConfig {
     /// detecting it (e.g. from a long-term delay-spread estimate). `None` means "use the
     /// whole CP", the correct choice for the indoor delay spreads the paper targets.
     pub isi_free_samples: Option<usize>,
-    /// Lower bound on the amplitude-axis kernel bandwidth. Protects the model against
-    /// degenerate densities when the preamble happens to be almost interference-free
-    /// (all deviations ≈ 0): without a floor the KDE collapses to a spike and every
-    /// data-symbol likelihood underflows. Expressed in units of the unit-power
-    /// constellation scale.
-    pub min_bandwidth_amplitude: f64,
-    /// Lower bound on the phase-axis kernel bandwidth, in radians (see
-    /// `min_bandwidth_amplitude` for the rationale; the phase of a near-zero error
-    /// vector is numerically meaningless, so an un-floored phase bandwidth is even more
-    /// fragile).
-    pub min_bandwidth_phase: f64,
     /// Which interference-estimator backend the receiver fits from the preamble
     /// ([`crate::estimator`]): the paper's exact per-sample kernel sum (default, the
     /// reference), the precomputed log-likelihood grid with O(1) lookups, or the cheap
@@ -166,22 +162,23 @@ pub struct CpRecycleConfig {
 
 // Hand-written because campaign point keys embed this Debug representation
 // (`scenarios::LinkPoint::key`) and every trial seed hashes the key: the output
-// must stay byte-identical to what earlier versions printed. That includes
-// `extraction: Sliding`, the field that once selected the segment-extraction
-// kernel; the sliding DFT is now the only kernel, but dropping the entry would
-// re-key and re-seed every existing campaign. Keep the field order in sync with
-// the struct.
+// must stay byte-identical to what earlier versions printed. Entries for knobs
+// that became constants keep printing their one value: `extraction: Sliding`
+// (the sliding DFT is the only extraction kernel), `bandwidth_amplitude: None`
+// and `data_driven_bandwidth: true` (B_a is always leave-one-out) and the two
+// bandwidth floors. Dropping any of them would re-key and re-seed every existing
+// campaign. Keep the field order in sync with the struct.
 impl std::fmt::Debug for CpRecycleConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CpRecycleConfig")
             .field("num_segments", &self.num_segments)
-            .field("bandwidth_amplitude", &self.bandwidth_amplitude)
+            .field("bandwidth_amplitude", &None::<f64>)
             .field("bandwidth_phase", &self.bandwidth_phase)
-            .field("data_driven_bandwidth", &self.data_driven_bandwidth)
+            .field("data_driven_bandwidth", &true)
             .field("decision", &self.decision)
             .field("isi_free_samples", &self.isi_free_samples)
-            .field("min_bandwidth_amplitude", &self.min_bandwidth_amplitude)
-            .field("min_bandwidth_phase", &self.min_bandwidth_phase)
+            .field("min_bandwidth_amplitude", &MIN_BANDWIDTH_AMPLITUDE)
+            .field("min_bandwidth_phase", &MIN_BANDWIDTH_PHASE)
             .field("extraction", &format_args!("Sliding"))
             .field("model", &self.model)
             .finish()
@@ -192,13 +189,9 @@ impl Default for CpRecycleConfig {
     fn default() -> Self {
         CpRecycleConfig {
             num_segments: 16,
-            bandwidth_amplitude: None,
             bandwidth_phase: None,
-            data_driven_bandwidth: true,
             decision: DecisionStage::default(),
             isi_free_samples: None,
-            min_bandwidth_amplitude: 0.05,
-            min_bandwidth_phase: 0.2,
             model: ModelBackend::default(),
         }
     }
@@ -236,15 +229,6 @@ impl CpRecycleConfig {
             ..Default::default()
         }
     }
-
-    /// The bandwidth-selection strategy implied by this configuration for one axis.
-    pub fn bandwidth_selector(&self, fixed: Option<f64>) -> BandwidthSelector {
-        match fixed {
-            Some(b) => BandwidthSelector::Fixed(b),
-            None if self.data_driven_bandwidth => BandwidthSelector::LeaveOneOut,
-            None => BandwidthSelector::Silverman,
-        }
-    }
 }
 
 /// Builder for [`CpRecycleConfig`]: each method overrides one knob, everything else
@@ -269,21 +253,9 @@ impl CpRecycleConfigBuilder {
         self
     }
 
-    /// Fixes the amplitude-axis kernel bandwidth `B_a` (`None` = select from data).
-    pub fn bandwidth_amplitude(mut self, bandwidth: Option<f64>) -> Self {
-        self.config.bandwidth_amplitude = bandwidth;
-        self
-    }
-
     /// Fixes the phase-axis kernel bandwidth `B_φ` (`None` = select from data).
     pub fn bandwidth_phase(mut self, bandwidth: Option<f64>) -> Self {
         self.config.bandwidth_phase = bandwidth;
-        self
-    }
-
-    /// Enables/disables data-driven (leave-one-out) bandwidth selection.
-    pub fn data_driven_bandwidth(mut self, data_driven: bool) -> Self {
-        self.config.data_driven_bandwidth = data_driven;
         self
     }
 
@@ -296,18 +268,6 @@ impl CpRecycleConfigBuilder {
     /// Tells the receiver how many ISI-free CP samples to assume (`None` = whole CP).
     pub fn isi_free_samples(mut self, isi_free_samples: Option<usize>) -> Self {
         self.config.isi_free_samples = isi_free_samples;
-        self
-    }
-
-    /// Sets the amplitude-axis bandwidth floor.
-    pub fn min_bandwidth_amplitude(mut self, floor: f64) -> Self {
-        self.config.min_bandwidth_amplitude = floor;
-        self
-    }
-
-    /// Sets the phase-axis bandwidth floor (radians).
-    pub fn min_bandwidth_phase(mut self, floor: f64) -> Self {
-        self.config.min_bandwidth_phase = floor;
         self
     }
 
@@ -331,13 +291,8 @@ mod tests {
     fn default_uses_whole_cp_and_data_driven_bandwidths() {
         let c = CpRecycleConfig::default();
         assert_eq!(c.num_segments, 16);
-        assert!(c.data_driven_bandwidth);
         assert!(c.isi_free_samples.is_none());
-        assert_eq!(c.bandwidth_selector(None), BandwidthSelector::LeaveOneOut);
-        assert_eq!(
-            c.bandwidth_selector(Some(0.3)),
-            BandwidthSelector::Fixed(0.3)
-        );
+        assert!(c.bandwidth_phase.is_none());
     }
 
     #[test]
@@ -394,23 +349,15 @@ mod tests {
         );
         let c = CpRecycleConfig::builder()
             .num_segments(4)
-            .bandwidth_amplitude(Some(0.3))
             .bandwidth_phase(Some(0.7))
-            .data_driven_bandwidth(false)
             .decision(DecisionStage::Oracle)
             .isi_free_samples(Some(9))
-            .min_bandwidth_amplitude(0.01)
-            .min_bandwidth_phase(0.02)
             .model(crate::estimator::ModelBackend::Gaussian)
             .build();
         assert_eq!(c.num_segments, 4);
-        assert_eq!(c.bandwidth_amplitude, Some(0.3));
         assert_eq!(c.bandwidth_phase, Some(0.7));
-        assert!(!c.data_driven_bandwidth);
         assert_eq!(c.decision, DecisionStage::Oracle);
         assert_eq!(c.isi_free_samples, Some(9));
-        assert_eq!(c.min_bandwidth_amplitude, 0.01);
-        assert_eq!(c.min_bandwidth_phase, 0.02);
         assert_eq!(c.model, crate::estimator::ModelBackend::Gaussian);
         // The builder agrees with the one-field conveniences.
         assert_eq!(
@@ -423,14 +370,5 @@ mod tests {
                 .build(),
             CpRecycleConfig::with_decision(DecisionStage::Naive)
         );
-    }
-
-    #[test]
-    fn silverman_when_data_driven_disabled() {
-        let c = CpRecycleConfig {
-            data_driven_bandwidth: false,
-            ..Default::default()
-        };
-        assert_eq!(c.bandwidth_selector(None), BandwidthSelector::Silverman);
     }
 }

@@ -22,10 +22,10 @@
 //! queries. The backend is a field of [`CpRecycleConfig`], so it flows into every
 //! campaign point key and sweeps like any other receiver parameter.
 
-use crate::config::CpRecycleConfig;
+use crate::config::{CpRecycleConfig, MIN_BANDWIDTH_AMPLITUDE, MIN_BANDWIDTH_PHASE};
 use crate::interference_model::deviation;
 use crate::Result;
-use rfdsp::kde::{select_bandwidth_scratch, GridKde2d, GridSpec, ProductKde2d};
+use rfdsp::kde::{select_bandwidth_scratch, BandwidthSelector, GridKde2d, GridSpec, ProductKde2d};
 use rfdsp::stats::BivariateGaussian;
 use rfdsp::Complex;
 
@@ -214,19 +214,25 @@ fn fallback_batch(amplitudes: &[f64], log_likes: &mut [f64]) {
     }
 }
 
-/// Per-axis kernel bandwidths for one bin: the configured selector, floored by the
-/// config's minimum bandwidths (shared by the exact and grid backends).
+/// Per-axis kernel bandwidths for one bin: leave-one-out (or the configured fixed
+/// phase bandwidth), floored at [`MIN_BANDWIDTH_AMPLITUDE`] and
+/// [`MIN_BANDWIDTH_PHASE`] (shared by the exact and grid backends).
 fn bin_bandwidths(
     samples: &BinSamples,
     config: &CpRecycleConfig,
     scratch: &mut Vec<f64>,
 ) -> Result<(f64, f64)> {
-    let selector_a = config.bandwidth_selector(config.bandwidth_amplitude);
-    let selector_p = config.bandwidth_selector(config.bandwidth_phase);
-    let ba = select_bandwidth_scratch(samples.amplitudes(), selector_a, scratch)?
-        .max(config.min_bandwidth_amplitude);
-    let bp = select_bandwidth_scratch(samples.phases(), selector_p, scratch)?
-        .max(config.min_bandwidth_phase);
+    let selector_p = config
+        .bandwidth_phase
+        .map_or(BandwidthSelector::LeaveOneOut, BandwidthSelector::Fixed);
+    let ba = select_bandwidth_scratch(
+        samples.amplitudes(),
+        BandwidthSelector::LeaveOneOut,
+        scratch,
+    )?
+    .max(MIN_BANDWIDTH_AMPLITUDE);
+    let bp =
+        select_bandwidth_scratch(samples.phases(), selector_p, scratch)?.max(MIN_BANDWIDTH_PHASE);
     Ok((ba, bp))
 }
 
@@ -435,7 +441,7 @@ impl InterferenceEstimator for GaussianEstimator {
         &mut self,
         samples: &[BinSamples],
         bins: &[usize],
-        config: &CpRecycleConfig,
+        _config: &CpRecycleConfig,
     ) -> Result<()> {
         for &bin in bins {
             let s = &samples[bin];
@@ -445,8 +451,8 @@ impl InterferenceEstimator for GaussianEstimator {
             self.fits[bin] = Some(BivariateGaussian::fit(
                 s.amplitudes(),
                 s.phases(),
-                config.min_bandwidth_amplitude,
-                config.min_bandwidth_phase,
+                MIN_BANDWIDTH_AMPLITUDE,
+                MIN_BANDWIDTH_PHASE,
             )?);
         }
         Ok(())

@@ -279,11 +279,13 @@ impl InterferenceModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MIN_BANDWIDTH_AMPLITUDE;
     use crate::segments::{extract_segments, SegmentScratch};
     use ofdmphy::chanest::ChannelEstimate;
     use ofdmphy::params::OfdmParams;
     use ofdmphy::preamble;
     use rand::SeedableRng;
+    use rfdsp::kde::{select_bandwidth, BandwidthSelector};
     use wirelesschan::mixer::{combine, InterfererSpec};
 
     fn engine() -> OfdmEngine {
@@ -464,14 +466,17 @@ mod tests {
         let reference = preamble::ltf_bins(e.params());
         let segs = extract_segments(&e, &ltf[16..96], &est, 9, &mut SegmentScratch::new()).unwrap();
         let config = CpRecycleConfig {
-            bandwidth_amplitude: Some(0.25),
             bandwidth_phase: Some(0.5),
             ..Default::default()
         };
         let model = InterferenceModel::train(&e, &[segs], &[reference], config).unwrap();
         let bin = e.params().data_bins()[3];
         let kde = model.kde(bin).unwrap();
-        assert!((kde.bandwidth_amplitude() - 0.25).abs() < 1e-12);
         assert!((kde.bandwidth_phase() - 0.5).abs() < 1e-12);
+        // The amplitude axis keeps the leave-one-out choice, floored.
+        let loo = select_bandwidth(model.samples_amplitude(bin), BandwidthSelector::LeaveOneOut)
+            .unwrap()
+            .max(MIN_BANDWIDTH_AMPLITUDE);
+        assert_eq!(kde.bandwidth_amplitude().to_bits(), loo.to_bits());
     }
 }

@@ -131,16 +131,6 @@ pub struct ServerConfig {
     /// [`SessionHandle::try_push`] returns [`PushError::Full`] and
     /// [`SessionHandle::push`] blocks. Defaults to 64.
     pub queue_capacity: usize,
-    /// Maximum free chunk buffers the shared [`ChunkPool`] retains *per size
-    /// class* (it starts empty and grows on demand up to this bound). Defaults
-    /// to 1024.
-    pub pool_buffers: usize,
-    /// Capacity of the largest pooled chunk-buffer class, in samples (classes
-    /// double from [`crate::chunk_pool::MIN_CLASS_SAMPLES`] up to this);
-    /// pushes larger than this fall back to an exact-size one-shot
-    /// allocation. Defaults to
-    /// [`crate::chunk_pool::DEFAULT_POOL_BUFFER_SAMPLES`].
-    pub pool_buffer_samples: usize,
 }
 
 impl Default for ServerConfig {
@@ -150,8 +140,6 @@ impl Default for ServerConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             queue_capacity: 64,
-            pool_buffers: 1024,
-            pool_buffer_samples: crate::chunk_pool::DEFAULT_POOL_BUFFER_SAMPLES,
         }
     }
 }
@@ -302,6 +290,10 @@ const FAIRNESS_BUDGET: usize = 16;
 /// a requeue.
 const MID_PUBLISH_SPIN_LIMIT: usize = 64;
 
+/// Maximum free chunk buffers the shared [`ChunkPool`] retains *per size class*
+/// (it starts empty and grows on demand up to this bound).
+const POOL_BUFFERS: usize = 1024;
+
 impl<R, O> RxServer<R, O>
 where
     R: FrameReceiver + Send + 'static,
@@ -312,8 +304,8 @@ where
     /// initially with zero sessions.
     pub fn new(config: ServerConfig) -> Self {
         let chunks = Arc::new(ChunkPool::new(
-            config.pool_buffers.max(1),
-            config.pool_buffer_samples.max(1),
+            POOL_BUFFERS,
+            crate::chunk_pool::DEFAULT_POOL_BUFFER_SAMPLES,
         ));
         let service_chunks = Arc::clone(&chunks);
         let pool = WorkerPool::new(
@@ -914,7 +906,6 @@ mod tests {
         let server: RxServer<StandardReceiver> = RxServer::new(ServerConfig {
             threads: 1,
             queue_capacity: 2,
-            ..Default::default()
         });
         let h = server.add_session(
             StandardReceiver::new(OfdmParams::ieee80211ag()),

@@ -18,7 +18,6 @@
 
 use crate::decision::{DecoderScratch, LatticePoint, SubcarrierDecoder};
 use crate::interference_model::{deviation, InterferenceModel};
-use crate::segments::SymbolSegments;
 use ofdmphy::modulation::{Lattice, Modulation};
 use rfdsp::stats::centroid;
 use rfdsp::Complex;
@@ -82,27 +81,6 @@ impl<'m> FixedSphereMlDecoder<'m> {
             scratch.candidates.push(self.lattice.nearest_index(center));
         }
     }
-
-    /// Average number of lattice points inside the sphere over the given subcarriers —
-    /// a complexity diagnostic (the quantity the fixed sphere is meant to keep small).
-    pub fn mean_search_space(
-        &self,
-        segments: &SymbolSegments,
-        bins: &[usize],
-        scratch: &mut DecoderScratch,
-    ) -> f64 {
-        if bins.is_empty() {
-            return 0.0;
-        }
-        let total: usize = bins
-            .iter()
-            .map(|&bin| {
-                self.candidates(segments.bin_observations(bin), scratch)
-                    .len()
-            })
-            .sum();
-        total as f64 / bins.len() as f64
-    }
 }
 
 impl SubcarrierDecoder for FixedSphereMlDecoder<'_> {
@@ -164,6 +142,56 @@ impl SubcarrierDecoder for FixedSphereMlDecoder<'_> {
             index,
             value: self.lattice.point(index),
         }
+    }
+}
+
+/// The pre-trait sphere decoder, kept as the test oracle the
+/// [`FixedSphereMlDecoder`] is checked against bit-for-bit and the `sphere_alloc`
+/// arm of the `decision` bench; the receiver never calls it.
+pub mod reference {
+    use crate::interference_model::InterferenceModel;
+    use ofdmphy::modulation::Modulation;
+    use rfdsp::stats::centroid;
+    use rfdsp::Complex;
+
+    /// One subcarrier decision as the decoder made it before the
+    /// [`SubcarrierDecoder`](crate::decision::SubcarrierDecoder) port: a per-call
+    /// candidate `Vec` of `(point, bits)` pairs cloned out of `constellation`
+    /// (which is `modulation.constellation()`), the nearest point when the sphere
+    /// is empty, and a max-log-likelihood scan where the first strict maximum wins.
+    pub fn decode_subcarrier(
+        model: &InterferenceModel,
+        constellation: &[(Complex, Vec<u8>)],
+        modulation: Modulation,
+        radius_min_distances: f64,
+        bin: usize,
+        observations: &[Complex],
+    ) -> (Complex, Vec<u8>) {
+        let radius = radius_min_distances.max(0.0) * modulation.min_distance();
+        let center = centroid(observations).unwrap_or(Complex::zero());
+        let inside: Vec<(Complex, Vec<u8>)> = constellation
+            .iter()
+            .filter(|(p, _)| (*p - center).norm() <= radius)
+            .cloned()
+            .collect();
+        let candidates = if inside.is_empty() {
+            vec![modulation.nearest_point(center)]
+        } else {
+            inside
+        };
+        let mut best = candidates[0].clone();
+        let mut best_score = f64::NEG_INFINITY;
+        for (point, bits) in candidates {
+            let score: f64 = observations
+                .iter()
+                .map(|obs| model.log_likelihood(bin, *obs, point))
+                .sum();
+            if score > best_score {
+                best_score = score;
+                best = (point, bits);
+            }
+        }
+        best
     }
 }
 
@@ -328,8 +356,11 @@ mod tests {
         for (d, p) in decided.iter().zip(points.iter().take(8)) {
             assert!((*d - *p).norm() < 1e-12);
         }
-        let mean_space = dec.mean_search_space(&segments, &bins, &mut s);
+        let total_space: usize = bins
+            .iter()
+            .map(|&bin| dec.candidates(segments.bin_observations(bin), &mut s).len())
+            .sum();
+        let mean_space = total_space as f64 / bins.len() as f64;
         assert!((1.0..16.0).contains(&mean_space));
-        assert_eq!(dec.mean_search_space(&segments, &[], &mut s), 0.0);
     }
 }

@@ -1,15 +1,17 @@
 //! Property tests for the decision-stage refactor (the tentpole invariant of the
 //! `SubcarrierDecoder` port): across random observation sets, every modulation and
 //! every valid segment count `P ∈ {1..C+1}`, the trait-based decoders must agree
-//! **bit-for-bit** with the pre-refactor implementations (reproduced here verbatim as
-//! reference code), the sphere path must never reallocate its candidate buffers after
-//! warm-up, and a `DecisionStage::Standard` receiver must match a `P = 1` sphere
-//! receiver frame-for-frame.
+//! **bit-for-bit** with the pre-refactor implementations (the sphere decoder's is
+//! `cprecycle::sphere_ml::reference`, the naive one is reproduced here verbatim),
+//! the sphere path must never reallocate its candidate buffers after warm-up, and
+//! a `DecisionStage::Standard` receiver must match a `P = 1` sphere receiver
+//! frame-for-frame.
 
 use cprecycle::decision::{
     DecoderScratch, NaiveCentroidDecoder, StandardNearestDecoder, SubcarrierDecoder,
 };
 use cprecycle::segments::SymbolSegments;
+use cprecycle::sphere_ml::reference;
 use cprecycle::{
     CpRecycleConfig, CpRecycleReceiver, DecisionStage, FixedSphereMlDecoder, FrameInput,
     FrameReceiver, InterferenceModel, ModelPersistence, RxStream,
@@ -21,7 +23,6 @@ use ofdmphy::ofdm::OfdmEngine;
 use ofdmphy::params::OfdmParams;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
-use rfdsp::stats::centroid;
 use rfdsp::Complex;
 use wirelesschan::awgn::AwgnChannel;
 
@@ -32,45 +33,6 @@ const ALL_MODULATIONS: [Modulation; 5] = [
     Modulation::Qam64,
     Modulation::Qam256,
 ];
-
-/// The pre-refactor sphere decoder (`FixedSphereMlDecoder::decode_subcarrier` before
-/// the trait port), reproduced verbatim: per-call candidate `Vec` with cloned
-/// `(point, bits)` pairs, nearest-point fallback, max-log-likelihood scan.
-fn reference_sphere_decode(
-    model: &InterferenceModel,
-    modulation: Modulation,
-    radius_min_distances: f64,
-    bin: usize,
-    observations: &[Complex],
-) -> (Complex, Vec<u8>) {
-    let radius = radius_min_distances.max(0.0) * modulation.min_distance();
-    let constellation = modulation.constellation();
-    let center = centroid(observations).unwrap_or(Complex::zero());
-    let inside: Vec<(Complex, Vec<u8>)> = constellation
-        .iter()
-        .filter(|(p, _)| (*p - center).norm() <= radius)
-        .cloned()
-        .collect();
-    let candidates = if inside.is_empty() {
-        let (p, bits) = modulation.nearest_point(center);
-        vec![(p, bits)]
-    } else {
-        inside
-    };
-    let mut best = candidates[0].clone();
-    let mut best_score = f64::NEG_INFINITY;
-    for (point, bits) in candidates {
-        let score: f64 = observations
-            .iter()
-            .map(|obs| model.log_likelihood(bin, *obs, point))
-            .sum();
-        if score > best_score {
-            best_score = score;
-            best = (point, bits);
-        }
-    }
-    best
-}
 
 /// The pre-refactor naive decoder (`naive::decode_subcarrier`), reproduced verbatim.
 fn reference_naive_decode(observations: &[Complex], modulation: Modulation) -> (Complex, Vec<u8>) {
@@ -162,8 +124,14 @@ proptest! {
             for p in 1..=engine.params().cp_len + 1 {
                 let obs = random_observations(&mut rng, modulation, p);
                 let decided = decoder.decide(bin, &obs, &mut scratch);
-                let (ref_point, ref_bits) =
-                    reference_sphere_decode(&model, modulation, radius, bin, &obs);
+                let (ref_point, ref_bits) = reference::decode_subcarrier(
+                    &model,
+                    &modulation.constellation(),
+                    modulation,
+                    radius,
+                    bin,
+                    &obs,
+                );
                 prop_assert_eq!(
                     decided.value, ref_point,
                     "{:?} P {} radius {}", modulation, p, radius

@@ -83,7 +83,6 @@ fn steady_state_ingress_allocates_nothing() {
     let server: RxServer<StandardReceiver> = RxServer::new(ServerConfig {
         threads: 1,
         queue_capacity: 4,
-        ..Default::default()
     });
     let handles: Vec<_> = (0..SESSIONS)
         .map(|_| {

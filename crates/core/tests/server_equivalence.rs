@@ -212,7 +212,6 @@ proptest! {
         let server: RxServer<StandardReceiver> = RxServer::new(ServerConfig {
             threads,
             queue_capacity: 4, // small on purpose: blocking push exercises backpressure
-            ..Default::default()
         });
         let handles: Vec<_> = (0..n_sessions)
             .map(|_| server.add_session(StandardReceiver::new(params()), SessionConfig::default()))
@@ -500,7 +499,6 @@ fn full_queue_rejects_without_dropping_or_reordering() {
     let server: RxServer<GatedReceiver> = RxServer::new(ServerConfig {
         threads: 1,
         queue_capacity: 2,
-        ..Default::default()
     });
     let handle = server.add_session(
         GatedReceiver {
@@ -710,7 +708,6 @@ fn shutdown_completes_while_rings_are_full() {
     let server: RxServer<GatedReceiver> = RxServer::new(ServerConfig {
         threads: 1,
         queue_capacity: 2,
-        ..Default::default()
     });
     let server = Arc::new(server);
     let handle = server.add_session(
